@@ -97,11 +97,7 @@ void BM_QpCheck(benchmark::State& state) {
   const std::vector<linalg::Vector> history(
       5, f.plm.emission().EmissionColumn(3));
   const core::TheoremVectors vectors = quantifier.ComputeVectors(history);
-  core::QpSolver::Options options;
-  options.grid_points = 17;
-  options.refine_iters = 6;
-  options.pga_restarts = 1;
-  const core::QpSolver solver(options);
+  const core::QpSolver solver;
   for (auto _ : state) {
     const auto check =
         quantifier.CheckArbitraryPrior(vectors, 0.5, solver, Deadline::Infinite());
@@ -273,11 +269,10 @@ BENCHMARK(BM_ForwardBackward)
     ->ArgNames({"side", "csr"});
 
 // ---------------------------------------------------------------------------
-// Sparse-emission and support-aware-QP pairs (ISSUE-3 acceptance): the
-// workload is a 1024-cell grid whose observations are δ-location-set style —
-// each emission column is supported on 9 cells. The sparse pipeline carries
-// the columns as index/value pairs end to end; the support-aware QP solves
-// every slice LP in dimension |support|+1 instead of 1024.
+// Sparse-emission pairs: the workload is a 1024-cell grid whose
+// observations are δ-location-set style — each emission column is supported
+// on 9 cells. The sparse pipeline carries the columns as index/value pairs
+// end to end.
 // ---------------------------------------------------------------------------
 
 // Deterministic 9-cell-support emission columns over a side×side grid. The
@@ -354,46 +349,37 @@ BENCHMARK(BM_SparseEmissionForwardBackward)
     ->ArgsProduct({{0, 1}, {0, 1}})
     ->ArgNames({"csr", "sparse_cols"});
 
-// The ISSUE-3 acceptance pair: one full arbitrary-prior QP maximization on a
-// 1024-cell objective supported on 9 cells — the support-aware path must be
-// ≥5× faster than sweeping dense 1024-dimensional slice LPs.
-void BM_QpSupportAware(benchmark::State& state) {
-  const bool exploit = state.range(0) != 0;
-  const size_t n = 1024;
+// One exact arbitrary-prior maximization over a dense n-coordinate
+// objective: the closed-form edge enumeration is O(n²), so the three sizes
+// span the δ-location-set supports (≈10), the 8×8 long-horizon grid (64) and
+// the 16×16 Fig. 7 grid (256).
+void BM_QpExact(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
   Rng rng(4321);
   core::QpSolver::Objective obj;
   obj.a = linalg::Vector(n);
   obj.d = linalg::Vector(n);
   obj.l = linalg::Vector(n);
-  for (size_t j = 0; j < 9; ++j) {
-    const size_t i = 100 + 17 * j;
+  for (size_t i = 0; i < n; ++i) {
     obj.a[i] = rng.NextDouble();
     obj.d[i] = rng.Uniform(-1.0, 1.0);
     obj.l[i] = rng.Uniform(-1.0, 1.0);
   }
-  core::QpSolver::Options options;
-  options.grid_points = 9;
-  options.refine_iters = 2;
-  options.pga_restarts = 1;
-  options.pga_iters = 20;
-  options.exploit_support = exploit;
-  const core::QpSolver solver(options);
+  const core::QpSolver solver;
   for (auto _ : state) {
     const auto result = solver.Maximize(obj, Deadline::Infinite());
     benchmark::DoNotOptimize(result.max_value);
   }
 }
-BENCHMARK(BM_QpSupportAware)->Arg(0)->Arg(1)->ArgName("reduced")
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_QpExact)->Arg(10)->Arg(64)->Arg(256)->ArgName("n");
 
 // ---------------------------------------------------------------------------
 // Release-step engine pairs (ISSUE-4 acceptance, ≥3× each): the workload is
 // the 1024-cell grid with 9-support δ-location-set-style emissions. A
 // release step checks several candidate budgets over a shared observation
-// prefix; the cold arm recomputes every Theorem-vector chain from t = 1 and
-// runs every QP maximization cold, the accelerated arm uses
-// ReleaseStepContext (incremental prefix rows, memoized support frame,
-// warm-started slice LPs / PGA).
+// prefix; the cold arm recomputes every Theorem-vector chain from t = 1,
+// the accelerated arm uses ReleaseStepContext's incremental prefix rows.
+// Both run the same exact QP check.
 // ---------------------------------------------------------------------------
 
 void BM_ReleaseStepCached(benchmark::State& state) {
@@ -402,18 +388,12 @@ void BM_ReleaseStepCached(benchmark::State& state) {
   const markov::TransitionMatrix chain = MooreGridWalk(side, /*allow_sparse=*/true);
   const size_t m = chain.num_states();
   // A compact presence window keeps ā's reachable support moderate (the
-  // paper's regime), so both arms solve small reduced QPs and the
-  // Theorem-vector chain cost — the part the prefix cache removes, growing
-  // with the prefix length — is visible.
+  // paper's regime), so both arms solve small QPs and the Theorem-vector
+  // chain cost — the part the prefix cache removes, growing with the prefix
+  // length — is visible.
   const auto ev = event::PresenceEvent::Make(m, 500, 500, 2, 3);
   const core::TwoWorldModel model(chain, ev);
-  core::QpSolver::Options qp;
-  qp.grid_points = 17;
-  qp.refine_iters = 8;
-  qp.pga_restarts = 1;
-  qp.pga_iters = 20;
-  qp.warm_start = accelerated;
-  const core::QpSolver solver(qp);
+  const core::QpSolver solver;
 
   // 60 timestamps × 6 candidate budgets: per step the halving search redraws
   // the 9-cell-support column (values change with α, the ΔX support drifts
@@ -477,7 +457,7 @@ BENCHMARK(BM_ReleaseStepCached)->Arg(0)->Arg(1)->ArgName("cached")
 // lifted row chains extended once per accepted timestamp and evaluates each
 // candidate with fused replicate-and-dot kernels (O(m·nnz) per check). The
 // workload isolates the Theorem-vector side (CandidateVectors) — the QP is
-// measured by BM_QpCheck/BM_QpWarmStart — and its horizon (300 ≈ 4.7·m)
+// measured by BM_QpCheck/BM_QpExact — and its horizon (300 ≈ 4.7·m)
 // sits in the amortized regime the scheme targets (DensePrefix::kAuto
 // engages at T ≥ 2m).
 void BM_ReleaseStepDensePrefix(benchmark::State& state) {
@@ -534,75 +514,6 @@ void BM_ReleaseStepDensePrefix(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReleaseStepDensePrefix)->Arg(0)->Arg(1)->ArgName("dense_rows")
-    ->Unit(benchmark::kMillisecond);
-
-// The QP side in isolation: two release steps' worth of adjacent
-// maximizations (each halving rescales d and l; a stays put) on a 1024-cell
-// objective, with and without the threaded WarmState. The warm arm runs the
-// NEW release-loop shape — consecutive maximizations resolve as
-// condition-style *pairs* through MaximizePair, sharing one support frame
-// and one slice family per pair on top of the cross-call chain — while the
-// cold arm solves all 12 independently. Only the very first solve of the
-// warm sequence runs cold.
-void BM_QpWarmStart(benchmark::State& state) {
-  const bool warm = state.range(0) != 0;
-  const size_t n = 1024;
-  Rng rng(2024);
-  core::QpSolver::Objective base;
-  base.a = linalg::Vector(n);
-  base.d = linalg::Vector(n);
-  base.l = linalg::Vector(n);
-  // ā-like factor: reachable-set support (~96 cells); d/l: 9-cell emission
-  // support inside it.
-  for (size_t j = 0; j < 96; ++j) {
-    base.a[256 + 8 * j % 768] = rng.NextDouble();
-  }
-  // Non-positive d/l model the *certifying* check (both Theorem conditions
-  // ≤ 0, supremum approached at 0 through off-support priors) — the common
-  // outcome in a release loop, and the one that triggers the near-zero
-  // escalation sweep whose dense adjacent slices are where basis chaining
-  // pays most.
-  for (size_t j = 0; j < 9; ++j) {
-    const size_t i = 256 + 8 * (11 * j % 96) % 768;
-    base.a[i] = rng.NextDouble();
-    base.d[i] = rng.Uniform(-1.0, 0.0);
-    base.l[i] = rng.Uniform(-1.0, 0.0);
-  }
-  core::QpSolver::Options options;
-  options.grid_points = 17;
-  options.refine_iters = 16;
-  options.pga_restarts = 1;
-  options.pga_iters = 20;
-  options.warm_start = warm;
-  const core::QpSolver solver(options);
-
-  const auto scaled = [&](int halving) {
-    core::QpSolver::Objective obj = base;
-    const double f = 1.0 / static_cast<double>(1 << (halving % 6));
-    obj.d.ScaleInPlace(f);
-    obj.l.ScaleInPlace(0.5 + 0.5 * f);
-    return obj;
-  };
-
-  for (auto _ : state) {
-    core::QpSolver::WarmState ws;
-    double acc = 0.0;
-    for (int pair = 0; pair < 6; ++pair) {
-      const core::QpSolver::Objective f15 = scaled(2 * pair);
-      const core::QpSolver::Objective f16 = scaled(2 * pair + 1);
-      if (warm) {
-        core::QpSolver::Result r15, r16;
-        solver.MaximizePair(f15, f16, Deadline::Infinite(), &ws, &r15, &r16);
-        acc += r15.max_value + r16.max_value;
-      } else {
-        acc += solver.Maximize(f15, Deadline::Infinite()).max_value;
-        acc += solver.Maximize(f16, Deadline::Infinite()).max_value;
-      }
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-}
-BENCHMARK(BM_QpWarmStart)->Arg(0)->Arg(1)->ArgName("warm")
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------

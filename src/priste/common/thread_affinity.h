@@ -8,12 +8,11 @@
 namespace priste {
 
 /// Debug-build owner-thread assertion for types that are single-threaded by
-/// contract (Arena, SliceBasisMemo, QpSolver::WarmState — one owning context
-/// per thread, never shared). The owner is latched on the FIRST Check() call
-/// — not at construction, because these objects are routinely constructed on
-/// one thread and then used entirely on a worker (ParallelFor runs whole
-/// experiment repeats on pool threads). Every later Check() dies in debug
-/// builds if it runs on a different thread.
+/// contract (Arena — one owning context per thread, never shared). The owner
+/// is latched on the FIRST Check() call — not at construction, because these
+/// objects are routinely constructed on one thread and then used entirely on
+/// a worker (ParallelFor runs whole experiment repeats on pool threads).
+/// Every later Check() dies in debug builds if it runs on a different thread.
 ///
 /// In NDEBUG builds the class is an empty shell and Check() compiles to
 /// nothing, so release binaries pay no size or time cost. This is

@@ -40,9 +40,10 @@ struct PristeOptions {
   /// Rescale emission columns for numerical stability (see PrivacyQuantifier).
   bool normalize_emissions = true;
 
+  /// Theorem IV.1 maximizer configuration (the exact solver has no knobs).
   QpSolver::Options qp;
 
-  /// Release-step evaluation engine knobs (prefix cache, QP warm starts).
+  /// Release-step evaluation engine knobs (prefix cache, dense prefix).
   ReleaseStepOptions release;
 };
 
@@ -67,7 +68,8 @@ struct RunResult {
   int total_conservative = 0;
   /// Wall-clock of the whole run, seconds.
   double total_seconds = 0.0;
-  /// Release-step engine counters (cache hits, warm-start accepts/rejects).
+  /// Release-step engine counters (which Theorem-vector path served each
+  /// check).
   ReleaseStepDiagnostics release_diagnostics;
 };
 

@@ -40,8 +40,8 @@ Result<RunResult> PristeDeltaLoc::Run(const geo::Trajectory& true_trajectory,
   result.steps.reserve(static_cast<size_t>(T));
   linalg::Vector posterior = initial_;  // p⁺_0 = π
 
-  // The release-step engine owns the per-model quantifiers, the incremental
-  // Theorem-vector state, and the QP warm-start bundles for this run.
+  // The release-step engine owns the per-model quantifiers and the
+  // incremental Theorem-vector state for this run.
   std::vector<const LiftedEventModel*> raw_models;
   raw_models.reserve(models_.size());
   for (const auto& model : models_) raw_models.push_back(model.get());
@@ -55,6 +55,8 @@ Result<RunResult> PristeDeltaLoc::Run(const geo::Trajectory& true_trajectory,
       MetricsRegistry::Global().GetHistogram("release.step_seconds");
   static Counter& halvings_counter =
       MetricsRegistry::Global().GetCounter("release.budget_halvings");
+  static Counter& uncertified_counter =
+      MetricsRegistry::Global().GetCounter("release.uncertified_commits");
 
   for (int t = 1; t <= T; ++t) {
     const Timer step_timer;
@@ -81,10 +83,12 @@ Result<RunResult> PristeDeltaLoc::Run(const geo::Trajectory& true_trajectory,
       released_column = mech.emission().EmissionColumn(o);
 
       if (effective_alpha == 0.0) {
-        // Uniform-over-ΔX release; accept (the α → 0 anchor). Unlike the
-        // unrestricted mechanism this is only uniform within ΔX_t, so we
-        // still run the check when a finite threshold allows it, but never
-        // loop further.
+        // Uniform-over-ΔX release: the α → 0 anchor commits WITHOUT a
+        // Theorem IV.1 check and ends the halving loop. Unlike the
+        // unrestricted mechanism it is only uniform within ΔX_t, not over
+        // the map, so nothing certifies it; the commit is counted as
+        // uncertified instead.
+        uncertified_counter.Increment();
         context.Commit(released_column);
         step.released_cell = o;
         step.released_alpha = 0.0;

@@ -63,8 +63,8 @@ Result<RunResult> PristeGeoInd::Run(const geo::Trajectory& true_trajectory,
   RunResult result;
   result.steps.reserve(static_cast<size_t>(T));
 
-  // The release-step engine owns the per-model quantifiers, the incremental
-  // Theorem-vector state, and the QP warm-start bundles for this run.
+  // The release-step engine owns the per-model quantifiers and the
+  // incremental Theorem-vector state for this run.
   std::vector<const LiftedEventModel*> raw_models;
   raw_models.reserve(models_.size());
   for (const auto& model : models_) raw_models.push_back(model.get());

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "priste/common/check.h"
-#include "priste/common/thread_pool.h"
 
 namespace priste::core {
 namespace {
@@ -133,7 +132,7 @@ bool PrivacyQuantifier::CheckFixedPrior(const TheoremVectors& v,
 
 PrivacyCheckResult PrivacyQuantifier::CheckArbitraryPrior(
     const TheoremVectors& raw, double epsilon, const QpSolver& solver,
-    const Deadline& deadline, QpSolver::WarmState* warm) const {
+    const Deadline& deadline) const {
   // Joint (b̄, c̄) rescaling is sign-preserving (see the quantifier tests);
   // normalizing to O(1) keeps the QP objectives well-scaled on long
   // observation prefixes.
@@ -164,31 +163,14 @@ PrivacyCheckResult PrivacyQuantifier::CheckArbitraryPrior(
   }
   f16.l = v.b_bar.Scaled(-e_eps);
 
-  // With warm state the pair resolves sequentially through one shared
-  // support frame and slice family (the conditions differ only in (d, l));
-  // cold checks keep the concurrent independent maximizations. Either path
-  // is internally deterministic, so the result is identical at any thread
-  // count — and the shared family reaches the same unique slice optima, so
-  // warm-vs-cold agreement is unchanged.
-  QpSolver::Result results[2];
-  if (warm != nullptr && solver.options().warm_start) {
-    solver.MaximizePair(f15, f16, deadline, warm, &results[0], &results[1]);
-  } else {
-    const QpSolver::Objective* objectives[2] = {&f15, &f16};
-    ParallelFor(2, [&](size_t i) {
-      results[i] = solver.Maximize(*objectives[i], deadline, nullptr);
-    });
-  }
-  const QpSolver::Result& r15 = results[0];
-  const QpSolver::Result& r16 = results[1];
+  // Two exact maximizations, one after the other: each is microseconds to
+  // a few milliseconds, too little to pay for a pool dispatch.
+  const QpSolver::Result r15 = solver.Maximize(f15, deadline);
+  const QpSolver::Result r16 = solver.Maximize(f16, deadline);
 
   PrivacyCheckResult out;
   out.max_condition15 = r15.max_value;
   out.max_condition16 = r16.max_value;
-  out.warm_accepted_slices = r15.warm_accepted_slices + r16.warm_accepted_slices;
-  out.warm_rejected_slices = r15.warm_rejected_slices + r16.warm_rejected_slices;
-  out.support_frame_reused =
-      r15.support_frame_reused && r16.support_frame_reused;
   out.timed_out = r15.timed_out || r16.timed_out;
   out.worst_pi = r15.max_value >= r16.max_value ? r15.argmax : r16.argmax;
   out.satisfied = !out.timed_out && r15.max_value <= 0.0 && r16.max_value <= 0.0;

@@ -37,17 +37,11 @@ struct PrivacyCheckResult {
   /// True when the QP search hit its deadline — PriSTE's conservative
   /// release treats this as "not satisfied".
   bool timed_out = false;
-  /// The (approximate) maxima of the two condition LHSs.
+  /// The maxima of the two condition LHSs (lower bounds when timed out).
   double max_condition15 = 0.0;
   double max_condition16 = 0.0;
   /// The prior achieving the larger violation (diagnostics).
   linalg::Vector worst_pi;
-  /// Warm-start diagnostics summed over the two condition maximizations
-  /// (zero without a warm bundle / with warm_start off).
-  int warm_accepted_slices = 0;
-  int warm_rejected_slices = 0;
-  /// True when both maximizations reused their memoized support frame.
-  bool support_frame_reused = false;
 };
 
 /// Computes Theorem IV.1 quantities for a two-world event model and checks
@@ -89,19 +83,12 @@ class PrivacyQuantifier {
                               double epsilon, double tol = 1e-12);
 
   /// The arbitrary-prior check of Section IV-A: maximizes both conditions
-  /// over the QP solver's constraint set under `deadline`. The two
-  /// conditions differ only in the objective's (d, l) — they share the
-  /// bilinear factor ā — so a non-null `warm` (with the solver's
-  /// Options.warm_start on) resolves them through QpSolver::MaximizePair:
-  /// ONE support frame, ONE slice-LP family, and per-condition argmax seeds,
-  /// threaded across consecutive calls of one release step. Same certified
-  /// answers as two independent maximizations, roughly half the frame/basis
-  /// work. Without warm state (or with warm_start off) the two conditions
-  /// are maximized cold and concurrently, as before.
+  /// exactly over the simplex of priors under `deadline`. Satisfied when
+  /// neither maximum is positive (no tolerance) and neither search timed
+  /// out.
   PrivacyCheckResult CheckArbitraryPrior(const TheoremVectors& v, double epsilon,
                                          const QpSolver& solver,
-                                         const Deadline& deadline,
-                                         QpSolver::WarmState* warm = nullptr) const;
+                                         const Deadline& deadline) const;
 
  private:
   const LiftedEventModel* model_;

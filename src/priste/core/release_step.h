@@ -55,36 +55,6 @@ struct ReleaseStepOptions {
     kAlways,
   };
   DensePrefix dense_prefix = DensePrefix::kAuto;
-
-  /// Thread one QpSolver::WarmState per model through the QP checks: the
-  /// emission-support union is memoized across checks, the previous
-  /// candidate's optimal π seeds each condition's next maximization, and
-  /// the two Theorem conditions resolve through ONE shared slice family
-  /// (QpSolver::MaximizePair). Also requires the solver's
-  /// Options.warm_start.
-  bool warm_start = true;
-
-  /// Lifecycle of the memoized warm frame across *release steps*.
-  enum class FrameReset {
-    /// Drop the frame at every commit (PR-4 behavior): each step's emission
-    /// support starts a fresh union.
-    kCommitAlways,
-    /// Keep the frame across commits — a frame superset never changes a
-    /// certified answer, only the reduced dimension — and drop it only when
-    /// it stops paying: the frame has drifted past frame_drift_ratio × the
-    /// last check's joint support, or frame_reject_streak consecutive
-    /// checks rejected more warm slice bases than they accepted.
-    kAdaptive,
-  };
-  FrameReset frame_reset = FrameReset::kAdaptive;
-  /// kAdaptive: reset when |frame| > frame_drift_ratio · |last joint
-  /// support| (the δ-location set moved on and the union only grows the
-  /// reduced dimension).
-  double frame_drift_ratio = 4.0;
-  /// kAdaptive: reset after this many consecutive QP checks whose slice LPs
-  /// rejected more warm bases than they accepted (≤ 0 disables the streak
-  /// trigger).
-  int frame_reject_streak = 4;
 };
 
 /// Counters the engine accumulates over a run (cheap; always collected).
@@ -104,19 +74,6 @@ struct ReleaseStepDiagnostics {
   /// Lifted row-extension steps applied at commits (per model, per support
   /// cell).
   long prefix_extensions = 0;
-  /// QP checks whose condition maximizations reused the memoized support
-  /// frame.
-  long qp_support_hits = 0;
-  /// Slice LPs solved from an accepted warm basis / rejected into the cold
-  /// fallback, summed over all QP checks.
-  long warm_accepted_slices = 0;
-  long warm_rejected_slices = 0;
-  /// Live warm frames dropped / kept at commits — per model engine, per
-  /// commit (a 3-model context can count 3 resets for one commit; engines'
-  /// streaks diverge, so they decide independently). Commits where an
-  /// engine has no frame yet count in neither.
-  long frame_resets = 0;
-  long frame_carries = 0;
 };
 
 /// Aggregate outcome of checking one candidate column against every event
@@ -129,9 +86,9 @@ struct ReleaseCheckOutcome {
   std::vector<PrivacyCheckResult> per_model;
 };
 
-/// The release-step evaluation engine: owns, per event model, the quantifier,
-/// the incremental Theorem-vector state, and the QP warm-start state, and
-/// serves every candidate check of Algorithm 2/3's budget-halving search.
+/// The release-step evaluation engine: owns, per event model, the quantifier
+/// and the incremental Theorem-vector state, and serves every candidate
+/// check of Algorithm 2/3's budget-halving search.
 ///
 /// The incremental state exploits the structure of the Lemma III.2/III.3
 /// chain: ContractColumn reads a lifted column only through the first
@@ -221,12 +178,6 @@ class ReleaseStepContext {
 
     const LiftedEventModel* model;
     PrivacyQuantifier quantifier;
-    // Shared warm state for the two Theorem conditions (one frame, one
-    // slice-basis chain, per-condition argmax seeds).
-    QpSolver::WarmState warm;
-    // Consecutive QP checks whose warm slice bases were mostly rejected —
-    // the adaptive frame-reset policy's streak trigger.
-    int warm_reject_streak = 0;
 
     // Cached-mode state: one lifted row per support cell (u = r_s above),
     // plus the accepting-masked family once the event window has been fully
@@ -265,7 +216,6 @@ class ReleaseStepContext {
   TheoremVectors CachedVectors(ModelEngine& engine, const ColumnView& column);
   void DecideMode(const ColumnView& first_column);
   void BuildMaskedRows(ModelEngine& engine);
-  void ApplyFrameResetPolicy();
 
   double CandidateScale(const ColumnView& column) const;
 

@@ -155,9 +155,6 @@ TEST(AutomatonWorldTest, PristeProtectsAtLeastTwiceEvent) {
   const double epsilon = 0.7;
   options.epsilon = epsilon;
   options.initial_alpha = 0.4;
-  options.qp.grid_points = 17;
-  options.qp.refine_iters = 6;
-  options.qp.pga_restarts = 1;
 
   const PristeGeoInd priste(grid, {*model}, options);
   Rng rng(65);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "priste/common/metrics.h"
 #include "priste/core/joint.h"
 #include "priste/event/presence.h"
 #include "priste/geo/gaussian_grid_model.h"
@@ -22,10 +23,6 @@ PristeOptions FastOptions(double epsilon, double alpha) {
   options.epsilon = epsilon;
   options.initial_alpha = alpha;
   options.qp_threshold_seconds = 5.0;
-  options.qp.grid_points = 17;
-  options.qp.refine_iters = 6;
-  options.qp.pga_restarts = 1;
-  options.qp.pga_iters = 40;
   return options;
 }
 
@@ -121,6 +118,31 @@ TEST(PristeDeltaLocTest, ReleasedSequenceSatisfiesPrivacyBound) {
       }
     }
   }
+}
+
+TEST(PristeDeltaLocTest, AnchorCommitsAreCountedUncertified) {
+  // A tight ε and a short ladder (0.3, 0.15, then α = 0) push steps onto
+  // the uniform-over-ΔX anchor, which commits without a Theorem IV.1 check:
+  // every such step must show up in release.uncertified_commits.
+  const Scenario s;
+  PristeOptions options = FastOptions(0.05, 0.3);
+  options.min_alpha = 0.1;
+  const PristeDeltaLoc priste(s.grid, s.model.transition(), {s.ev}, 0.2, s.pi,
+                              options);
+  Rng rng(9);
+  const markov::MarkovChain chain(s.model.transition(), s.pi);
+  const geo::Trajectory truth(chain.Sample(6, rng));
+  const Counter& uncertified =
+      MetricsRegistry::Global().GetCounter("release.uncertified_commits");
+  const long before = uncertified.value();
+  const auto result = priste.Run(truth, rng);
+  ASSERT_TRUE(result.ok()) << result.status();
+  long anchored = 0;
+  for (const auto& step : result->steps) {
+    if (step.released_alpha == 0.0) ++anchored;
+  }
+  EXPECT_GT(anchored, 0);
+  EXPECT_EQ(uncertified.value() - before, anchored);
 }
 
 TEST(PristeDeltaLocTest, SmallerDeltaGivesLargerSets) {

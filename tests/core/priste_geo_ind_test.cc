@@ -34,10 +34,6 @@ PristeOptions FastOptions(double epsilon, double alpha) {
   options.epsilon = epsilon;
   options.initial_alpha = alpha;
   options.qp_threshold_seconds = 5.0;
-  options.qp.grid_points = 17;
-  options.qp.refine_iters = 6;
-  options.qp.pga_restarts = 1;
-  options.qp.pga_iters = 40;
   return options;
 }
 

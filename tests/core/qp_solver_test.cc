@@ -1,6 +1,10 @@
 #include "priste/core/qp_solver.h"
 
+#include <algorithm>
 #include <cmath>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -15,7 +19,7 @@ linalg::Vector RandomVec(size_t n, Rng& rng, double lo = -1.0, double hi = 1.0) 
   return v;
 }
 
-// Dense random search baseline over the capped simplex.
+// Dense random search baseline over the simplex.
 double RandomSearchMax(const QpSolver::Objective& objective, int samples,
                        Rng& rng) {
   const size_t n = objective.a.size();
@@ -39,76 +43,17 @@ double RandomSearchMax(const QpSolver::Objective& objective, int samples,
   return best;
 }
 
-TEST(ProjectionTest, ProjectsOntoCappedSimplex) {
-  Rng rng(3);
-  for (int trial = 0; trial < 20; ++trial) {
-    const linalg::Vector v = RandomVec(6, rng, -2.0, 2.0);
-    const linalg::Vector p = ProjectOntoCappedSimplex(v);
-    EXPECT_NEAR(p.Sum(), 1.0, 1e-9);
-    EXPECT_TRUE(p.AllInRange(0.0, 1.0, 1e-9));
-  }
+// The objective's natural magnitude: the tolerances below are relative to it.
+double Scale(const QpSolver::Objective& obj) {
+  return std::max({obj.l.MaxAbs(), obj.a.MaxAbs() * obj.d.MaxAbs(), 1e-300});
 }
 
-TEST(ProjectionTest, FixedPointForFeasibleInput) {
-  const linalg::Vector v{0.2, 0.3, 0.5};
-  const linalg::Vector p = ProjectOntoCappedSimplex(v);
-  EXPECT_LT(p.Minus(v).MaxAbs(), 1e-6);
-}
-
-// Regression for the old final step, which rescaled the clipped mass by
-// 1/total: that could push a capped coordinate above 1 and returned the
-// all-zero vector when the bisection landed on total == 0. The projection
-// must now deliver max ≤ 1 and Σ = 1 ± 1e-12 on every input — including
-// adversarial magnitudes the bisection cannot resolve.
-TEST(ProjectionTest, AdversarialInputsStayFeasible) {
-  const std::vector<linalg::Vector> adversarial = {
-      {2.0, 0.0},                         // one coordinate pinned at its cap
-      {5.0, 5.0, 5.0},                    // all above cap, exact ties
-      {-3.0, -3.0, -3.0, -3.0},           // all negative
-      {1e300, -1e300, 0.5},               // range beyond bisection resolution
-      {1e-300, 2e-300, 3e-300},           // subnormal-scale spread
-      {1.0},                              // n = 1: the only feasible point
-      {1.0 + 1e-15, 1.0 - 1e-15},         // caps within one ulp
-      {0.25, 0.25, 0.25, 0.25},           // already feasible
-  };
-  for (const linalg::Vector& v : adversarial) {
-    const linalg::Vector p = ProjectOntoCappedSimplex(v);
-    ASSERT_EQ(p.size(), v.size());
-    EXPECT_LE(p.Max(), 1.0) << v.ToString();
-    EXPECT_GE(p.Min(), 0.0) << v.ToString();
-    EXPECT_NEAR(p.Sum(), 1.0, 1e-12) << v.ToString();
-  }
-  Rng rng(77);
-  for (int trial = 0; trial < 200; ++trial) {
-    linalg::Vector v(5);
-    const double scale = std::pow(10.0, rng.Uniform(-5.0, 5.0));
-    for (size_t i = 0; i < v.size(); ++i) v[i] = scale * rng.Uniform(-2.0, 2.0);
-    const linalg::Vector p = ProjectOntoCappedSimplex(v);
-    EXPECT_LE(p.Max(), 1.0);
-    EXPECT_GE(p.Min(), 0.0);
-    EXPECT_NEAR(p.Sum(), 1.0, 1e-12);
-  }
-}
-
-TEST(ProjectionTest, PerCoordinateCapsAreRespected) {
-  const linalg::Vector caps{1.0, 1.0, 3.0};
-  const linalg::Vector p = ProjectOntoCappedSimplex({5.0, 5.0, 5.0}, caps);
-  EXPECT_NEAR(p.Sum(), 1.0, 1e-12);
-  for (size_t i = 0; i < p.size(); ++i) {
-    EXPECT_GE(p[i], 0.0);
-    EXPECT_LE(p[i], caps[i]);
-  }
-  // A slack-style cap can absorb more than 1 unit of mass.
-  const linalg::Vector slack_caps{1.0, 9.0};
-  const linalg::Vector q =
-      ProjectOntoCappedSimplex({-10.0, 10.0}, slack_caps);
-  EXPECT_NEAR(q.Sum(), 1.0, 1e-12);
-  EXPECT_NEAR(q[1], 1.0, 1e-9);  // all mass lands on the high coordinate
-  // Σ caps == 1: the unique feasible point is the cap vector itself.
-  const linalg::Vector tight =
-      ProjectOntoCappedSimplex({42.0, -42.0}, {0.25, 0.75});
-  EXPECT_NEAR(tight[0], 0.25, 1e-300);
-  EXPECT_NEAR(tight[1], 0.75, 1e-300);
+// Exactly the feasibility the maximizer promises: no negative entry and a
+// unit sum up to the rounding of n additions.
+void ExpectFeasible(const linalg::Vector& pi) {
+  EXPECT_GE(pi.Min(), 0.0) << pi.ToString();
+  EXPECT_LE(std::fabs(pi.Sum() - 1.0), static_cast<double>(pi.size()) * 1e-16)
+      << pi.ToString();
 }
 
 TEST(QpSolverTest, LinearObjectiveExactOnSimplex) {
@@ -134,19 +79,46 @@ TEST(QpSolverTest, RankOneQuadraticKnownMax) {
   EXPECT_NEAR(result.max_value, 1.0, 1e-6);
 }
 
-TEST(QpSolverTest, BoxConstraintDominatesSimplex) {
-  // On the box the same objective can use π = 1 everywhere.
+TEST(QpSolverTest, ConcaveEdgeInteriorMaximum) {
+  // f(λe₀ + (1−λ)e₁) = λ(1−λ) with a = [1, 0], d = [0, 1]: the maximum 1/4
+  // sits at the edge midpoint, strictly above both vertices (value 0).
   QpSolver::Objective obj;
-  obj.a = linalg::Vector{1.0, 1.0};
-  obj.d = linalg::Vector{1.0, 1.0};
+  obj.a = linalg::Vector{1.0, 0.0};
+  obj.d = linalg::Vector{0.0, 1.0};
   obj.l = linalg::Vector(2);
-  QpSolver::Options box_options;
-  box_options.constraint = QpSolver::ConstraintSet::kBox;
-  const auto box = QpSolver(box_options).Maximize(obj, Deadline::Infinite());
-  const auto simplex = QpSolver().Maximize(obj, Deadline::Infinite());
-  EXPECT_NEAR(box.max_value, 4.0, 1e-6);     // (π·a)² = 2² on all-ones
-  EXPECT_NEAR(simplex.max_value, 1.0, 1e-6); // Σπ = 1 caps π·a at 1
-  EXPECT_GE(box.max_value, simplex.max_value);
+  const auto result = QpSolver().Maximize(obj, Deadline::Infinite());
+  EXPECT_EQ(result.max_value, 0.25);
+  EXPECT_EQ(result.argmax[0], 0.5);
+  EXPECT_EQ(result.argmax[1], 0.5);
+}
+
+TEST(QpSolverTest, OffSupportMassCanCarryTheMaximum) {
+  // Only coordinate 2 is live: its vertex is worth −1 and every
+  // zero-coefficient vertex 0, but the edge to an off-support vertex gives
+  // f = −2λ² + λ, maximized at λ = 1/4 with value 1/8. The lowest
+  // off-support index carries the remaining mass.
+  QpSolver::Objective obj;
+  obj.a = linalg::Vector{0.0, 0.0, 1.0, 0.0, 0.0};
+  obj.d = linalg::Vector{0.0, 0.0, -2.0, 0.0, 0.0};
+  obj.l = linalg::Vector{0.0, 0.0, 1.0, 0.0, 0.0};
+  const auto result = QpSolver().Maximize(obj, Deadline::Infinite());
+  EXPECT_EQ(result.max_value, 0.125);
+  EXPECT_EQ(result.argmax[0], 0.75);
+  EXPECT_EQ(result.argmax[2], 0.25);
+  EXPECT_EQ(result.argmax.Sum(), 1.0);
+}
+
+TEST(QpSolverTest, TiesKeepTheLowestCandidate) {
+  // Every vertex has value 1 and no edge is concave: e₀ wins the tie.
+  QpSolver::Objective obj;
+  obj.a = linalg::Vector(3);
+  obj.d = linalg::Vector(3);
+  obj.l = linalg::Vector{1.0, 1.0, 1.0};
+  const auto result = QpSolver().Maximize(obj, Deadline::Infinite());
+  EXPECT_EQ(result.max_value, 1.0);
+  EXPECT_EQ(result.argmax[0], 1.0);
+  EXPECT_EQ(result.argmax[1], 0.0);
+  EXPECT_EQ(result.argmax[2], 0.0);
 }
 
 class QpRandomComparisonTest : public ::testing::TestWithParam<int> {};
@@ -178,6 +150,174 @@ TEST_P(QpRandomComparisonTest, BeatsRandomSearch) {
 
 INSTANTIATE_TEST_SUITE_P(Trials, QpRandomComparisonTest, ::testing::Range(0, 15));
 
+// --- Brute-force oracle: nothing feasible beats the exact maximum. ---
+
+struct OracleCase {
+  std::string name;
+  size_t n = 0;
+  // Indices carrying nonzero coefficients; empty = every coordinate.
+  std::vector<size_t> support;
+  bool all_zero = false;
+
+  friend void PrintTo(const OracleCase& c, std::ostream* os) { *os << c.name; }
+};
+
+QpSolver::Objective OracleObjective(const OracleCase& c, Rng& rng) {
+  QpSolver::Objective obj;
+  obj.a = linalg::Vector(c.n);
+  obj.d = linalg::Vector(c.n);
+  obj.l = linalg::Vector(c.n);
+  if (c.all_zero) return obj;
+  std::vector<size_t> live = c.support;
+  if (live.empty()) {
+    for (size_t i = 0; i < c.n; ++i) live.push_back(i);
+  }
+  for (const size_t i : live) {
+    obj.a[i] = rng.Uniform(0.0, 1.0);
+    obj.d[i] = rng.Uniform(-1.0, 1.0);
+    obj.l[i] = rng.Uniform(-1.0, 1.0);
+  }
+  return obj;
+}
+
+class QpOracleTest : public ::testing::TestWithParam<OracleCase> {};
+
+TEST_P(QpOracleTest, NoFeasiblePriorExceedsTheExactMaximum) {
+  const OracleCase& c = GetParam();
+  for (int trial = 0; trial < 3; ++trial) {
+    Rng rng(6000 + 31 * c.n + static_cast<uint64_t>(trial));
+    const QpSolver::Objective obj = OracleObjective(c, rng);
+    const auto result = QpSolver().Maximize(obj, Deadline::Infinite());
+    EXPECT_FALSE(result.timed_out);
+    ASSERT_EQ(result.argmax.size(), c.n);
+    ExpectFeasible(result.argmax);
+    const double scale = Scale(obj);
+    EXPECT_LE(std::fabs(obj.Evaluate(result.argmax) - result.max_value),
+              1e-12 * std::max(scale, std::fabs(result.max_value)));
+    const double bound = result.max_value + 1e-12 * scale;
+
+    // A dense λ-grid on every edge of the full n-coordinate simplex
+    // (off-support coordinates included), endpoints being the vertices.
+    const int grid = 256;
+    linalg::Vector pi(c.n);
+    double oracle = -1e300;
+    for (size_t i = 0; i < c.n; ++i) {
+      for (size_t j = i + 1; j < c.n; ++j) {
+        for (int g = 0; g <= grid; ++g) {
+          const double lambda = static_cast<double>(g) / grid;
+          pi[i] = lambda;
+          pi[j] = 1.0 - lambda;
+          oracle = std::max(oracle, obj.Evaluate(pi));
+        }
+        pi[i] = 0.0;
+        pi[j] = 0.0;
+      }
+    }
+    // Interior points: Dirichlet(1) samples (normalized exponentials).
+    for (int s = 0; s < 10000; ++s) {
+      double total = 0.0;
+      for (size_t i = 0; i < c.n; ++i) {
+        pi[i] = rng.NextExponential(1.0);
+        total += pi[i];
+      }
+      pi.ScaleInPlace(1.0 / total);
+      oracle = std::max(oracle, obj.Evaluate(pi));
+    }
+    EXPECT_LE(oracle, bound) << c.name << " trial=" << trial
+                             << " exact=" << result.max_value;
+    if (c.all_zero) {
+      EXPECT_EQ(result.max_value, 0.0);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, QpOracleTest,
+    ::testing::Values(OracleCase{"n2", 2, {}, false},
+                      OracleCase{"n3", 3, {}, false},
+                      OracleCase{"n10", 10, {}, false},
+                      OracleCase{"n64", 64, {}, false},
+                      OracleCase{"sparse40", 40, {3, 10, 17, 24, 31}, false},
+                      OracleCase{"zero6", 6, {}, true}),
+    [](const ::testing::TestParamInfo<OracleCase>& info) {
+      return info.param.name;
+    });
+
+// --- Boundary objectives the slice-LP/PGA heuristic certified wrongly. ---
+//
+// Theorem-shaped objectives (ā ∈ [0,1], b̄ ≤ c̄, Eq. 15 or 16 at an ε just
+// below the value where the exact maximum crosses 0), found by a seeded
+// search. The heuristic that preceded the exact maximizer returned a
+// non-positive maximum on each — certifying privacy — while a feasible prior
+// reaches a positive value. The exact maximizer must refuse them.
+struct BoundaryCase {
+  linalg::Vector a;
+  linalg::Vector d;
+  linalg::Vector l;
+};
+
+std::vector<BoundaryCase> FalselyCertifiedObjectives() {
+  return {
+      // Eq. (16), n = 6; the heuristic returned −0.742.
+      {{0.36762847533530862, 0.12566397454432865, 0.61191732270521215,
+        0.61700384070321046, 0.99636346582914626, 0.88022803973354891},
+       {623.36202016494599, 643.54317583286399, 2.285493050797851,
+        1026.8494255021867, 307.95800532579398, 783.07988851519997},
+       {-623.14913057983301, -643.248390558545, -1.3985308404075401,
+        -1026.3775205921584, -307.58010438732083, -782.92752805666362}},
+      // Eq. (16), n = 8; the heuristic returned −4.5e-3.
+      {{0.65707694929767824, 0.70508667463957841, 0.16976911412854001,
+        0.1104447541539415, 0.4707368485173784, 0.51551466290336145,
+        0.92769212884299546, 0.20998406012506199},
+       {44.961700451845843, 32.40519900426159, 7.0059560515949251,
+        33.152782115329195, 27.334255782897792, 0.77779710643430944,
+        7.0088348362910446, 17.322030491227469},
+       {-44.895640003002804, -31.825250496813684, -6.7839698736979139,
+        -32.592757084099077, -26.547690451413736, -0.40096563834290855,
+        -6.5065579327205558, -16.727127018186536}},
+      // Eq. (15), n = 9; the heuristic returned −4.8e-3.
+      {{0.38473130525547961, 0.71752664456889648, 0.97307344567769338,
+        0.12389715731294459, 0.87047628360730434, 0.31259576826619506,
+        0.44852184035866416, 0.31082066512420348, 0.22282307985576688},
+       {-1.0484902685458692, -13.650582015084353, -1.6841641346152159,
+        -34.431501112943721, -45.923252937701662, -9.9219060188696631,
+        -3.1000452572189658, -2.7387304632307377, -37.595406900520814},
+       {0.39855829700891399, 0.14499636966026708, 0.89706946119153086,
+        0.61321358035503448, 0.046121029769312635, 0.59984835059820907,
+        0.26575503629609298, 0.85125518393550548, 0.3079599099738205}},
+      // Eq. (16), n = 10; the heuristic returned −0.0457.
+      {{0.42029037277374193, 0.90988757001688025, 0.31546374029157032,
+        0.51957954169121612, 0.75079985078526301, 0.043096667931423638,
+        0.10517915689308965, 0.97398495939112917, 0.77854833411037494,
+        0.971958442871244},
+       {3.5751504787966883, 2.5597075569515431, 1.1125749861348393,
+        23.630639220451442, 20.945543563100312, 29.792336011617103,
+        3.6750107050953127, 35.636569635900955, 0.58244618834133921,
+        11.359931399545559},
+       {-3.3249585133392365, -2.3956380066947069, -0.56826186214556074,
+        -23.446288284504707, -20.457483938767769, -29.679304837086324,
+        -3.640230070146206, -35.498298243921504, -0.50578261810870639,
+        -11.041380596767635}},
+  };
+}
+
+TEST(QpSolverTest, RefusesObjectivesTheHeuristicFalselyCertified) {
+  for (const BoundaryCase& c : FalselyCertifiedObjectives()) {
+    QpSolver::Objective obj;
+    obj.a = c.a;
+    obj.d = c.d;
+    obj.l = c.l;
+    const auto result = QpSolver().Maximize(obj, Deadline::Infinite());
+    EXPECT_FALSE(result.timed_out);
+    EXPECT_GT(result.max_value, 0.0) << c.a.ToString();
+    // The witness is a genuine prior with a positive condition value.
+    ExpectFeasible(result.argmax);
+    EXPECT_GT(obj.Evaluate(result.argmax), 0.0) << result.argmax.ToString();
+  }
+}
+
+// --- Deadlines. ---
+
 TEST(QpSolverTest, ExpiredDeadlineReportsTimeout) {
   Rng rng(5);
   QpSolver::Objective obj;
@@ -196,8 +336,7 @@ void ExpectFeasibleResult(const QpSolver::Objective& obj,
                           const QpSolver::Result& result) {
   ASSERT_EQ(result.argmax.size(), obj.a.size());
   EXPECT_TRUE(std::isfinite(result.max_value));
-  EXPECT_NEAR(result.argmax.Sum(), 1.0, 1e-9);
-  EXPECT_TRUE(result.argmax.AllInRange(0.0, 1.0, 1e-9));
+  ExpectFeasible(result.argmax);
   EXPECT_NEAR(obj.Evaluate(result.argmax), result.max_value, 1e-9);
 }
 
@@ -213,407 +352,27 @@ TEST(QpSolverTest, ZeroDeadlineStillReturnsFeasibleBestSoFar) {
 }
 
 TEST(QpSolverTest, MidSweepDeadlineStillReturnsFeasibleBestSoFar) {
-  // A deadline short enough to fire somewhere inside the sweep of a large
-  // dense problem. Whether it fires before the first slice or between two
-  // slices depends on wall clock — the invariants must hold either way.
+  // A deadline short enough to fire somewhere inside the edge enumeration
+  // of a large dense problem. Whether it fires before the first row or
+  // between two rows depends on wall clock — the invariants must hold
+  // either way.
   Rng rng(53);
-  const size_t n = 96;
+  const size_t n = 1024;
   QpSolver::Objective obj;
   obj.a = RandomVec(n, rng, 0.0, 1.0);
   obj.d = RandomVec(n, rng);
   obj.l = RandomVec(n, rng);
-  QpSolver::Options options;
-  options.grid_points = 257;  // enough slices that expiry lands mid-sweep
-  const QpSolver solver(options);
+  const QpSolver solver;
+  double best_vertex = -1e300;
+  for (size_t i = 0; i < n; ++i) {
+    best_vertex = std::max(best_vertex, obj.a[i] * obj.d[i] + obj.l[i]);
+  }
   for (const double seconds : {1e-7, 1e-4, 2e-3}) {
     const auto result = solver.Maximize(obj, Deadline::After(seconds));
     ExpectFeasibleResult(obj, result);
-    if (result.timed_out) {
-      // The incumbent is at least the seeded uniform prior.
-      const linalg::Vector uniform =
-          linalg::Vector::UniformProbability(n);
-      EXPECT_GE(result.max_value, obj.Evaluate(uniform) - 1e-12);
-    }
+    // Every vertex is evaluated before the first deadline poll.
+    EXPECT_GE(result.max_value, best_vertex);
   }
-}
-
-// --- Support-aware reduction. ---
-
-// Builds an objective supported on `support` of the n coordinates.
-QpSolver::Objective SparseObjective(size_t n, const std::vector<size_t>& support,
-                                    Rng& rng) {
-  QpSolver::Objective obj;
-  obj.a = linalg::Vector(n);
-  obj.d = linalg::Vector(n);
-  obj.l = linalg::Vector(n);
-  for (const size_t i : support) {
-    obj.a[i] = rng.Uniform(0.0, 1.0);
-    obj.d[i] = rng.Uniform(-1.0, 1.0);
-    obj.l[i] = rng.Uniform(-1.0, 1.0);
-  }
-  return obj;
-}
-
-class SupportAwareTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(SupportAwareTest, ReducedMatchesFullSweep) {
-  Rng rng(4000 + GetParam());
-  const size_t n = 40;
-  std::vector<size_t> support;
-  for (size_t i = 3; i < n; i += 7) support.push_back(i);
-  const QpSolver::Objective obj = SparseObjective(n, support, rng);
-
-  // PGA off isolates the deterministic slice sweep, which must agree to
-  // solver tolerance between the full and the reduced path.
-  QpSolver::Options options;
-  options.pga_restarts = 0;
-  for (const auto constraint :
-       {QpSolver::ConstraintSet::kSimplex, QpSolver::ConstraintSet::kBox}) {
-    options.constraint = constraint;
-    options.exploit_support = true;
-    QpSolver::Options dense_options = options;
-    dense_options.exploit_support = false;
-
-    const auto reduced = QpSolver(options).Maximize(obj, Deadline::Infinite());
-    const auto full =
-        QpSolver(dense_options).Maximize(obj, Deadline::Infinite());
-    EXPECT_FALSE(reduced.timed_out);
-    EXPECT_FALSE(full.timed_out);
-    EXPECT_NEAR(reduced.max_value, full.max_value, 1e-7)
-        << "constraint=" << static_cast<int>(constraint);
-
-    // Reduced dimension: |support| (+ slack on the simplex); the full path
-    // reports n.
-    const bool simplex = constraint == QpSolver::ConstraintSet::kSimplex;
-    EXPECT_EQ(reduced.reduced_dim, support.size() + (simplex ? 1 : 0));
-    EXPECT_EQ(full.reduced_dim, n);
-
-    // The scattered argmax is feasible in the FULL space and consistent.
-    ASSERT_EQ(reduced.argmax.size(), n);
-    EXPECT_TRUE(reduced.argmax.AllInRange(0.0, 1.0, 1e-9));
-    if (simplex) {
-      EXPECT_NEAR(reduced.argmax.Sum(), 1.0, 1e-9);
-    }
-    EXPECT_NEAR(obj.Evaluate(reduced.argmax), reduced.max_value, 1e-9);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Trials, SupportAwareTest, ::testing::Range(0, 8));
-
-TEST(SupportAwareTest, DefaultOptionsBeatRandomSearchOnSparseObjective) {
-  Rng rng(61);
-  const size_t n = 30;
-  std::vector<size_t> support = {2, 7, 11, 19, 23};
-  const QpSolver::Objective obj = SparseObjective(n, support, rng);
-  const auto result = QpSolver().Maximize(obj, Deadline::Infinite());
-  EXPECT_FALSE(result.timed_out);
-  Rng search_rng(62);
-  const double baseline = RandomSearchMax(obj, 20000, search_rng);
-  EXPECT_GE(result.max_value, baseline - 1e-4);
-  EXPECT_NEAR(result.argmax.Sum(), 1.0, 1e-6);
-  EXPECT_TRUE(result.argmax.AllInRange(0.0, 1.0, 1e-6));
-}
-
-TEST(SupportAwareTest, LargeGridSmallSupportSolvesTinyLps) {
-  // The ISSUE-3 acceptance scenario: a 1024-cell grid whose Theorem vectors
-  // are supported on a 9-cell δ-location set — every slice LP runs in
-  // dimension 10 (support + slack), ~100× smaller than the dense 1024.
-  Rng rng(63);
-  const size_t n = 1024;
-  std::vector<size_t> support;
-  for (size_t i = 0; i < 9; ++i) support.push_back(100 + 3 * i);
-  const QpSolver::Objective obj = SparseObjective(n, support, rng);
-  QpSolver::Options options;
-  options.grid_points = 17;
-  options.refine_iters = 4;
-  options.pga_restarts = 1;
-  options.pga_iters = 30;
-  const auto result = QpSolver(options).Maximize(obj, Deadline::Infinite());
-  EXPECT_FALSE(result.timed_out);
-  EXPECT_EQ(result.reduced_dim, 10u);
-  ASSERT_EQ(result.argmax.size(), n);
-  EXPECT_NEAR(result.argmax.Sum(), 1.0, 1e-9);
-  EXPECT_TRUE(result.argmax.AllInRange(0.0, 1.0, 1e-9));
-  EXPECT_NEAR(obj.Evaluate(result.argmax), result.max_value, 1e-9);
-}
-
-TEST(SupportAwareTest, AllZeroObjectiveIsHandledInClosedForm) {
-  QpSolver::Objective obj;
-  obj.a = linalg::Vector(6);
-  obj.d = linalg::Vector(6);
-  obj.l = linalg::Vector(6);
-  const auto simplex = QpSolver().Maximize(obj, Deadline::Infinite());
-  EXPECT_FALSE(simplex.timed_out);
-  EXPECT_NEAR(simplex.max_value, 0.0, 1e-12);
-  EXPECT_NEAR(simplex.argmax.Sum(), 1.0, 1e-9);
-  EXPECT_TRUE(simplex.argmax.AllInRange(0.0, 1.0, 1e-9));
-
-  QpSolver::Options box_options;
-  box_options.constraint = QpSolver::ConstraintSet::kBox;
-  const auto box = QpSolver(box_options).Maximize(obj, Deadline::Infinite());
-  EXPECT_FALSE(box.timed_out);
-  EXPECT_NEAR(box.max_value, 0.0, 1e-12);
-  EXPECT_EQ(box.reduced_dim, 0u);
-}
-
-TEST(QpSolverTest, SlicesSolvedIsPositive) {
-  Rng rng(7);
-  QpSolver::Objective obj;
-  obj.a = RandomVec(4, rng, 0.0, 1.0);
-  obj.d = RandomVec(4, rng);
-  obj.l = RandomVec(4, rng);
-  const auto result = QpSolver().Maximize(obj, Deadline::Infinite());
-  EXPECT_GT(result.slices_solved, 0);
-}
-
-// A sequence of adjacent objectives (the budget-halving shape: d and l
-// rescale, a stays put) threaded through one WarmState must reproduce the
-// cold maxima while actually accepting warm bases.
-TEST(QpSolverWarmStartTest, AdjacentObjectiveSequenceMatchesColdMaxima) {
-  Rng rng(5150);
-  const size_t n = 64;
-  QpSolver::Objective obj;
-  obj.a = linalg::Vector(n);
-  obj.d = linalg::Vector(n);
-  obj.l = linalg::Vector(n);
-  for (size_t j = 0; j < 9; ++j) {
-    const size_t i = 3 + 6 * j;
-    obj.a[i] = rng.NextDouble();
-    obj.d[i] = rng.Uniform(-1.0, 1.0);
-    obj.l[i] = rng.Uniform(-1.0, 1.0);
-  }
-  QpSolver::Options warm_options;
-  warm_options.grid_points = 9;
-  warm_options.refine_iters = 4;
-  warm_options.pga_restarts = 1;
-  QpSolver::Options cold_options = warm_options;
-  cold_options.warm_start = false;
-  const QpSolver warm_solver(warm_options);
-  const QpSolver cold_solver(cold_options);
-
-  QpSolver::WarmState state;
-  long total_accepts = 0;
-  for (int step = 0; step < 6; ++step) {
-    QpSolver::Objective scaled = obj;
-    const double f = std::pow(0.5, step);
-    scaled.d.ScaleInPlace(f);
-    scaled.l.ScaleInPlace(0.5 + 0.5 * f);
-    const auto warm = warm_solver.Maximize(scaled, Deadline::Infinite(), &state);
-    const auto cold = cold_solver.Maximize(scaled, Deadline::Infinite());
-    EXPECT_NEAR(warm.max_value, cold.max_value, 1e-9) << "step=" << step;
-    EXPECT_EQ(warm.reduced_dim, cold.reduced_dim);
-    if (step > 0) {
-      EXPECT_TRUE(warm.support_frame_reused) << "step=" << step;
-    }
-    total_accepts += warm.warm_accepted_slices;
-  }
-  EXPECT_TRUE(state.has_support);
-  EXPECT_EQ(state.support.size(), 9u);
-  EXPECT_GT(total_accepts, 0);
-  EXPECT_EQ(state.warm_accepts, total_accepts);
-}
-
-TEST(QpSolverWarmStartTest, SupportFrameUnionsAcrossObjectives) {
-  const size_t n = 32;
-  QpSolver::Objective first;
-  first.a = linalg::Vector(n);
-  first.d = linalg::Vector(n);
-  first.l = linalg::Vector(n);
-  first.a[4] = 0.8;
-  first.l[4] = 0.5;
-  QpSolver::Objective second = first;
-  second.a[9] = 0.3;
-  second.l[9] = -0.2;
-
-  QpSolver::WarmState state;
-  const QpSolver solver;
-  const auto r1 = solver.Maximize(first, Deadline::Infinite(), &state);
-  EXPECT_EQ(state.support.size(), 1u);
-  const auto r2 = solver.Maximize(second, Deadline::Infinite(), &state);
-  // The frame grew to the union; the widened first objective still solves in
-  // the union frame and reports a reuse.
-  EXPECT_EQ(state.support.size(), 2u);
-  EXPECT_FALSE(r2.support_frame_reused);
-  const auto r3 = solver.Maximize(first, Deadline::Infinite(), &state);
-  EXPECT_TRUE(r3.support_frame_reused);
-  // A frame that is a superset of the true joint support never changes the
-  // answer — the extra coordinates have zero objective coefficients.
-  const QpSolver fresh;
-  const auto ref1 = fresh.Maximize(first, Deadline::Infinite());
-  const auto ref2 = fresh.Maximize(second, Deadline::Infinite());
-  EXPECT_NEAR(r1.max_value, ref1.max_value, 1e-9);
-  EXPECT_NEAR(r2.max_value, ref2.max_value, 1e-9);
-  EXPECT_NEAR(r3.max_value, ref1.max_value, 1e-9);
-}
-
-TEST(QpSolverWarmStartTest, WarmMaximumNeverBelowCold) {
-  // Safety direction of warm starts: the seed is an extra incumbent/slice
-  // and the refinement trajectory is slice-value-driven (shared with cold),
-  // so a warm search must never return a smaller maximum than the cold
-  // search — an under-certified maximum could flip an unsatisfied privacy
-  // check to satisfied. Regression for the incumbent-driven best_x bug:
-  // randomized sequences with *shifting* supports, where the carried-over
-  // incumbent used to beat every slice and strand the refinement at x_lo.
-  Rng rng(20260726);
-  QpSolver::Options warm_options;
-  warm_options.grid_points = 9;
-  warm_options.refine_iters = 6;
-  warm_options.pga_restarts = 1;
-  warm_options.pga_iters = 20;
-  QpSolver::Options cold_options = warm_options;
-  cold_options.warm_start = false;
-  const QpSolver warm_solver(warm_options);
-  const QpSolver cold_solver(cold_options);
-  const size_t n = 64;
-  for (int sequence = 0; sequence < 40; ++sequence) {
-    QpSolver::WarmState state;
-    for (int step = 0; step < 5; ++step) {
-      QpSolver::Objective obj;
-      obj.a = linalg::Vector(n);
-      obj.d = linalg::Vector(n);
-      obj.l = linalg::Vector(n);
-      const size_t base = rng.NextBelow(n - 12);
-      for (size_t j = 0; j < 8; ++j) {
-        obj.a[base + j] = rng.NextDouble();
-        obj.d[base + j] = rng.Uniform(-1.0, 1.0);
-        obj.l[base + j] = rng.Uniform(-1.0, 1.0);
-      }
-      const auto warm = warm_solver.Maximize(obj, Deadline::Infinite(), &state);
-      const auto cold = cold_solver.Maximize(obj, Deadline::Infinite());
-      EXPECT_GE(warm.max_value, cold.max_value - 1e-9)
-          << "sequence=" << sequence << " step=" << step;
-    }
-  }
-}
-
-// The two-objective resolve (one support frame + one slice family for a
-// pair sharing `a` — the Theorem-condition shape) must reproduce the
-// independent cold maxima across a warm-threaded sequence.
-TEST(QpSolverPairTest, PairMatchesIndependentColdMaxima) {
-  Rng rng(909);
-  QpSolver::Options warm_options;
-  warm_options.grid_points = 9;
-  warm_options.refine_iters = 4;
-  warm_options.pga_restarts = 1;
-  warm_options.pga_iters = 30;
-  QpSolver::Options cold_options = warm_options;
-  cold_options.warm_start = false;
-  const QpSolver warm_solver(warm_options);
-  const QpSolver cold_solver(cold_options);
-  const size_t n = 48;
-  QpSolver::WarmState state;
-  for (int step = 0; step < 6; ++step) {
-    QpSolver::Objective f15;
-    f15.a = linalg::Vector(n);
-    f15.d = linalg::Vector(n);
-    f15.l = linalg::Vector(n);
-    for (size_t j = 0; j < 7; ++j) {
-      const size_t i = 2 + 5 * j;
-      f15.a[i] = rng.NextDouble();
-      f15.d[i] = rng.Uniform(-1.0, 1.0);
-      f15.l[i] = rng.Uniform(-1.0, 1.0);
-    }
-    // The f16 shape: same a, different (d, l) combination.
-    QpSolver::Objective f16 = f15;
-    for (size_t i = 0; i < n; ++i) {
-      f16.d[i] = 0.5 * f15.d[i] + 0.25 * f15.l[i];
-      f16.l[i] = -1.5 * f15.l[i];
-    }
-    QpSolver::Result r1, r2;
-    warm_solver.MaximizePair(f15, f16, Deadline::Infinite(), &state, &r1, &r2);
-    const auto c1 = cold_solver.Maximize(f15, Deadline::Infinite());
-    const auto c2 = cold_solver.Maximize(f16, Deadline::Infinite());
-    EXPECT_NEAR(r1.max_value, c1.max_value, 1e-9) << "step=" << step;
-    EXPECT_NEAR(r2.max_value, c2.max_value, 1e-9) << "step=" << step;
-    // Warm starts only add candidates: never below cold.
-    EXPECT_GE(r1.max_value, c1.max_value - 1e-9);
-    EXPECT_GE(r2.max_value, c2.max_value - 1e-9);
-    if (step > 0) {
-      EXPECT_TRUE(r1.support_frame_reused);
-      EXPECT_TRUE(r2.support_frame_reused);
-    }
-  }
-  // One shared frame over the pair, and per-condition argmax seeds.
-  EXPECT_TRUE(state.has_support);
-  EXPECT_EQ(state.support.size(), 7u);
-  EXPECT_TRUE(state.has_argmax);
-  EXPECT_TRUE(state.has_argmax2);
-  EXPECT_EQ(state.last_scan_support, 7u);
-  EXPECT_GT(state.warm_accepts, 0);
-}
-
-TEST(QpSolverPairTest, SecondSweepContinuesFirstSweepsBasisChain) {
-  // Within ONE MaximizePair call the second objective's sweep starts from
-  // the first's final basis — it must report accepted warm slices even with
-  // a fresh state (no cross-call history at all).
-  Rng rng(311);
-  QpSolver::Options options;
-  options.grid_points = 17;
-  options.refine_iters = 4;
-  options.pga_restarts = 1;
-  options.pga_iters = 20;
-  const QpSolver solver(options);
-  const size_t n = 32;
-  QpSolver::Objective f15;
-  f15.a = linalg::Vector(n);
-  f15.d = linalg::Vector(n);
-  f15.l = linalg::Vector(n);
-  for (size_t j = 0; j < 6; ++j) {
-    const size_t i = 1 + 5 * j;
-    f15.a[i] = rng.NextDouble();
-    f15.d[i] = rng.Uniform(-1.0, 0.0);
-    f15.l[i] = rng.Uniform(-1.0, 0.0);
-  }
-  QpSolver::Objective f16 = f15;
-  for (size_t i = 0; i < n; ++i) f16.l[i] = 0.5 * f15.l[i];
-  QpSolver::WarmState state;
-  QpSolver::Result r1, r2;
-  solver.MaximizePair(f15, f16, Deadline::Infinite(), &state, &r1, &r2);
-  // First sweep chains its own slices; the second additionally inherits the
-  // first's final basis, so both accept warm bases.
-  EXPECT_GT(r1.warm_accepted_slices, 0);
-  EXPECT_GT(r2.warm_accepted_slices, 0);
-  EXPECT_EQ(state.warm_accepts, r1.warm_accepted_slices + r2.warm_accepted_slices);
-  EXPECT_EQ(state.warm_rejects, r1.warm_rejected_slices + r2.warm_rejected_slices);
-}
-
-TEST(QpSolverPairTest, WarmStartOffDegradesToIndependentColdPair) {
-  QpSolver::Options options;
-  options.warm_start = false;
-  const QpSolver off(options);
-  const QpSolver on;
-  QpSolver::Objective f15;
-  f15.a = linalg::Vector{0.2, 0.7, 0.1, 0.0};
-  f15.d = linalg::Vector{0.5, -0.3, 0.2, 0.0};
-  f15.l = linalg::Vector{0.0, 0.1, -0.1, 0.0};
-  QpSolver::Objective f16 = f15;
-  f16.l = linalg::Vector{0.1, -0.2, 0.3, 0.0};
-  QpSolver::WarmState state;
-  QpSolver::Result r1, r2;
-  off.MaximizePair(f15, f16, Deadline::Infinite(), &state, &r1, &r2);
-  EXPECT_FALSE(state.has_support);
-  EXPECT_FALSE(state.has_argmax);
-  EXPECT_FALSE(state.has_argmax2);
-  QpSolver::Result w1, w2;
-  on.MaximizePair(f15, f16, Deadline::Infinite(), nullptr, &w1, &w2);
-  EXPECT_NEAR(r1.max_value, w1.max_value, 1e-9);
-  EXPECT_NEAR(r2.max_value, w2.max_value, 1e-9);
-}
-
-TEST(QpSolverWarmStartTest, WarmStartOffIgnoresState) {
-  QpSolver::Options options;
-  options.warm_start = false;
-  const QpSolver solver(options);
-  QpSolver::Objective obj;
-  obj.a = linalg::Vector{0.2, 0.7, 0.1};
-  obj.d = linalg::Vector{0.5, -0.3, 0.2};
-  obj.l = linalg::Vector{0.0, 0.1, -0.1};
-  QpSolver::WarmState state;
-  const auto result = solver.Maximize(obj, Deadline::Infinite(), &state);
-  EXPECT_FALSE(state.has_support);
-  EXPECT_FALSE(state.has_argmax);
-  EXPECT_EQ(result.warm_accepted_slices, 0);
-  EXPECT_EQ(result.warm_rejected_slices, 0);
 }
 
 }  // namespace

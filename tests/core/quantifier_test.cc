@@ -129,6 +129,26 @@ TEST(QuantifierTest, UniformEmissionsSatisfyAnyEpsilon) {
       << "max15=" << check.max_condition15 << " max16=" << check.max_condition16;
 }
 
+TEST(QuantifierTest, ExpiredDeadlineFailsTheCheck) {
+  // Section IV-C's conservative release: even emissions that satisfy every
+  // ε (uniform, see above) are not certified when the maximization times
+  // out, and the reported worst prior is still a feasible distribution.
+  Rng rng(44);
+  const size_t m = 4;
+  const auto model = RandomModel(m, true, 2, 2, rng);
+  const PrivacyQuantifier quantifier(model.get());
+  const std::vector<linalg::Vector> emissions(
+      5, linalg::Vector(m, 1.0 / static_cast<double>(m)));
+  const TheoremVectors v = quantifier.ComputeVectors(emissions);
+  const PrivacyCheckResult check = quantifier.CheckArbitraryPrior(
+      v, 0.01, QpSolver(), Deadline::After(-1.0));
+  EXPECT_TRUE(check.timed_out);
+  EXPECT_FALSE(check.satisfied);
+  ASSERT_EQ(check.worst_pi.size(), m);
+  EXPECT_GE(check.worst_pi.Min(), 0.0);
+  EXPECT_NEAR(check.worst_pi.Sum(), 1.0, 1e-15);
+}
+
 TEST(QuantifierTest, RevealingEmissionsViolateSmallEpsilon) {
   // An emission that pins the user inside the event region at an event
   // timestamp makes the event nearly certain — small ε must fail.

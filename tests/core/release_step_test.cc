@@ -32,16 +32,6 @@ bool CacheForcedOffByEnv() {
   return env != nullptr && std::string(env) == "0";
 }
 
-QpSolver::Options SmallQpOptions(bool warm) {
-  QpSolver::Options options;
-  options.grid_points = 9;
-  options.refine_iters = 4;
-  options.pga_restarts = 1;
-  options.pga_iters = 30;
-  options.warm_start = warm;
-  return options;
-}
-
 void ExpectVectorsNear(const TheoremVectors& cached, const TheoremVectors& cold,
                        double tol) {
   ASSERT_EQ(cached.t, cold.t);
@@ -57,15 +47,14 @@ void ExpectVectorsNear(const TheoremVectors& cached, const TheoremVectors& cold,
 
 // Drives a full release-step schedule — several candidates per timestamp,
 // the last one committed — over sparse δ-location-set-style columns, and
-// requires the cached/warm-started engine to agree with the cold
+// requires the cached engine to agree with the cold
 // recompute-from-t=1 path at every prefix: Theorem vectors to ≤ 1e-9, QP
 // condition maxima to ≤ 1e-9, and the certified decision exactly.
 void RunEquivalenceSchedule(const LiftedEventModel* model, size_t m,
                             uint64_t seed) {
   Rng rng(seed);
-  const QpSolver warm_solver(SmallQpOptions(/*warm=*/true));
-  const QpSolver cold_solver(SmallQpOptions(/*warm=*/false));
-  ReleaseStepContext context({model}, &warm_solver);
+  const QpSolver solver;
+  ReleaseStepContext context({model}, &solver);
   const PrivacyQuantifier cold(model, /*normalize_emissions=*/true);
   const double epsilon = 0.4;
 
@@ -85,7 +74,7 @@ void RunEquivalenceSchedule(const LiftedEventModel* model, size_t m,
       const ReleaseCheckOutcome outcome =
           context.CheckCandidate(sparse, epsilon, /*qp_threshold_seconds=*/-1.0);
       const PrivacyCheckResult cold_check = cold.CheckArbitraryPrior(
-          reference, epsilon, cold_solver, Deadline::Infinite());
+          reference, epsilon, solver, Deadline::Infinite());
       ASSERT_EQ(outcome.per_model.size(), 1u);
       EXPECT_EQ(outcome.per_model[0].satisfied, cold_check.satisfied)
           << "t=" << t << " cand=" << cand;
@@ -159,7 +148,7 @@ TEST(ReleaseStepContextTest, DenseFirstColumnFallsBackToColdChain) {
                                    testing::RandomRegion(m, rng)};
   const auto ev = std::make_shared<PresenceEvent>(regions, 2);
   const TwoWorldModel model(testing::RandomTransition(m, rng), ev);
-  const QpSolver solver(SmallQpOptions(true));
+  const QpSolver solver;
   ReleaseStepContext context({&model}, &solver);
   const PrivacyQuantifier cold(&model, true);
 
@@ -185,10 +174,9 @@ TEST(ReleaseStepContextTest, PrefixCacheOptOutMatchesCachedResults) {
                                    testing::RandomRegion(m, rng)};
   const auto ev = std::make_shared<PresenceEvent>(regions, 2);
   const TwoWorldModel model(testing::RandomTransition(m, rng), ev);
-  const QpSolver solver(SmallQpOptions(true));
+  const QpSolver solver;
   ReleaseStepOptions off;
   off.prefix_cache = false;
-  off.warm_start = false;
   ReleaseStepContext cached_ctx({&model}, &solver);
   ReleaseStepContext cold_ctx({&model}, &solver, true, off);
 
@@ -216,12 +204,11 @@ TEST(ReleaseStepContextTest, PrefixCacheOptOutMatchesCachedResults) {
 void RunDenseEquivalenceSchedule(const LiftedEventModel* model, size_t m,
                                  uint64_t seed) {
   Rng rng(seed);
-  const QpSolver warm_solver(SmallQpOptions(/*warm=*/true));
-  const QpSolver cold_solver(SmallQpOptions(/*warm=*/false));
+  const QpSolver solver;
   ReleaseStepOptions options;
   options.dense_prefix = ReleaseStepOptions::DensePrefix::kAlways;
   options.max_cache_support = 4;  // every random dense column overflows this
-  ReleaseStepContext context({model}, &warm_solver, true, options);
+  ReleaseStepContext context({model}, &solver, true, options);
   const PrivacyQuantifier cold(model, /*normalize_emissions=*/true);
   const double epsilon = 0.4;
 
@@ -246,23 +233,14 @@ void RunDenseEquivalenceSchedule(const LiftedEventModel* model, size_t m,
       const ReleaseCheckOutcome outcome =
           context.CheckCandidate(column, epsilon, /*qp_threshold_seconds=*/-1.0);
       const PrivacyCheckResult cold_check = cold.CheckArbitraryPrior(
-          reference, epsilon, cold_solver, Deadline::Infinite());
+          reference, epsilon, solver, Deadline::Infinite());
       ASSERT_EQ(outcome.per_model.size(), 1u);
       EXPECT_EQ(outcome.per_model[0].satisfied, cold_check.satisfied)
           << "t=" << t << " cand=" << cand;
-      // Full-support objectives are where the grid-plus-PGA sweep is only
-      // approximate, so warm-vs-cold maxima agree to sweep resolution, not
-      // machine epsilon — but soundness is one-sided and exact: the warm
-      // maximum is never below the cold one (the seed only adds candidate
-      // evaluations).
-      EXPECT_GE(outcome.per_model[0].max_condition15,
-                cold_check.max_condition15 - 1e-9);
-      EXPECT_GE(outcome.per_model[0].max_condition16,
-                cold_check.max_condition16 - 1e-9);
       EXPECT_NEAR(outcome.per_model[0].max_condition15,
-                  cold_check.max_condition15, 1e-3);
+                  cold_check.max_condition15, 1e-9);
       EXPECT_NEAR(outcome.per_model[0].max_condition16,
-                  cold_check.max_condition16, 1e-3);
+                  cold_check.max_condition16, 1e-9);
       history.pop_back();
 
       if (cand == 1) {
@@ -333,7 +311,7 @@ TEST(ReleaseStepDensePrefixTest, MaxCacheSupportBoundaryIsInclusive) {
   const markov::TransitionMatrix chain = testing::RandomTransition(m, rng);
   const TwoWorldModel model_a(chain, ev_a);
   const TwoWorldModel model_b(chain, ev_b);
-  const QpSolver solver(SmallQpOptions(true));
+  const QpSolver solver;
 
   ReleaseStepOptions options;
   options.max_cache_support = 5;
@@ -388,7 +366,7 @@ TEST(ReleaseStepDensePrefixTest, AutoPolicyNeedsTheHorizonToClearBreakEven) {
                                    testing::RandomRegion(m, rng)};
   const auto ev = std::make_shared<PresenceEvent>(regions, 2);
   const TwoWorldModel model(testing::RandomTransition(m, rng), ev);
-  const QpSolver solver(SmallQpOptions(true));
+  const QpSolver solver;
   ReleaseStepOptions options;
   options.max_cache_support = 4;  // kAuto is the default dense_prefix
   Rng col_rng(704);
@@ -434,7 +412,7 @@ TEST(ReleaseStepDensePrefixTest, EnvOverridesMaxCacheSupport) {
                                    testing::RandomRegion(m, rng)};
   const auto ev = std::make_shared<PresenceEvent>(regions, 2);
   const TwoWorldModel model(testing::RandomTransition(m, rng), ev);
-  const QpSolver solver(SmallQpOptions(true));
+  const QpSolver solver;
   Rng col_rng(706);
   const linalg::Vector sparse_col =
       testing::RandomSparseEmissionColumn(m, 3, col_rng);
@@ -480,92 +458,21 @@ TEST(ReleaseStepDensePrefixTest, EnvOverridesMaxCacheSupport) {
   }
 }
 
-TEST(ReleaseStepFramePolicyTest, AdaptivePoliciesMatchCommitAlways) {
-  // Fuzz the frame-reset policies against each other over a shifting-support
-  // schedule: never-reset (drift ratio huge, streak off), always-drift
-  // (ratio < 1 → resets every commit), and the legacy commit-always policy
-  // must produce the same certified maxima and decisions — a kept frame is a
-  // superset frame, which never changes an answer.
-  Rng rng(7331);
-  const size_t m = 20;
-  std::vector<geo::Region> regions{testing::RandomRegion(m, rng),
-                                   testing::RandomRegion(m, rng)};
-  const auto ev = std::make_shared<PresenceEvent>(regions, 2);  // window [2, 3]
-  const TwoWorldModel model(testing::RandomTransition(m, rng), ev);
-  const QpSolver solver(SmallQpOptions(true));
-
-  ReleaseStepOptions keep;
-  keep.frame_drift_ratio = 1e9;
-  keep.frame_reject_streak = 0;  // streak trigger disabled
-  ReleaseStepOptions drift;
-  drift.frame_drift_ratio = 0.5;  // fires at every commit
-  ReleaseStepOptions always;
-  always.frame_reset = ReleaseStepOptions::FrameReset::kCommitAlways;
-
-  ReleaseStepContext ctx_keep({&model}, &solver, true, keep);
-  ReleaseStepContext ctx_drift({&model}, &solver, true, drift);
-  ReleaseStepContext ctx_always({&model}, &solver, true, always);
-
-  Rng col_rng(7332);
-  const int horizon = 8;
-  for (int t = 1; t <= horizon; ++t) {
-    for (int cand = 0; cand < 3; ++cand) {
-      const linalg::Vector column =
-          testing::RandomSparseEmissionColumn(m, 4, col_rng);
-      const linalg::SparseVector sparse =
-          linalg::SparseVector::FromDense(column);
-      const auto out_keep = ctx_keep.CheckCandidate(sparse, 0.4, -1.0);
-      const auto out_drift = ctx_drift.CheckCandidate(sparse, 0.4, -1.0);
-      const auto out_always = ctx_always.CheckCandidate(sparse, 0.4, -1.0);
-      ASSERT_EQ(out_keep.per_model.size(), 1u);
-      for (const auto* out : {&out_drift, &out_always}) {
-        EXPECT_EQ(out_keep.per_model[0].satisfied,
-                  out->per_model[0].satisfied)
-            << "t=" << t << " cand=" << cand;
-        EXPECT_NEAR(out_keep.per_model[0].max_condition15,
-                    out->per_model[0].max_condition15, 1e-9);
-        EXPECT_NEAR(out_keep.per_model[0].max_condition16,
-                    out->per_model[0].max_condition16, 1e-9);
-      }
-      if (cand == 2) {
-        ctx_keep.Commit(sparse);
-        ctx_drift.Commit(sparse);
-        ctx_always.Commit(sparse);
-      }
-    }
-  }
-  // Policy audit trail: never-reset carried every live frame, always-drift
-  // and commit-always dropped every one.
-  EXPECT_GT(ctx_keep.diagnostics().frame_carries, 0);
-  EXPECT_EQ(ctx_keep.diagnostics().frame_resets, 0);
-  EXPECT_GT(ctx_drift.diagnostics().frame_resets, 0);
-  EXPECT_EQ(ctx_drift.diagnostics().frame_carries, 0);
-  EXPECT_GT(ctx_always.diagnostics().frame_resets, 0);
-  EXPECT_EQ(ctx_always.diagnostics().frame_carries, 0);
-}
-
-TEST(ReleaseStepFramePolicyTest, DenseToSparseTransitionKeepsColdAgreement) {
-  // Warm-state lifecycle across dense→sparse candidate transitions: a dense
-  // first column engages the dense-prefix family (full-support Theorem
-  // vectors → wide QP frames), then the candidates turn sparse. With the
-  // frame carried across steps (kAdaptive, never-reset settings) every
-  // check must still match the cold chain — the frame is only ever a
-  // superset, and any extension invalidates the cached argmax/basis rather
-  // than reusing them across incompatible supports.
+TEST(ReleaseStepDensePrefixTest, DenseToSparseTransitionKeepsColdAgreement) {
+  // A dense first column engages the dense-prefix family, then the
+  // candidates alternate dense/sparse with drifting sparse supports: every
+  // check must still match the cold chain.
   Rng rng(811);
   const size_t m = 14;
   std::vector<geo::Region> regions{testing::RandomRegion(m, rng),
                                    testing::RandomRegion(m, rng)};
   const auto ev = std::make_shared<PresenceEvent>(regions, 2);  // window [2, 3]
   const TwoWorldModel model(testing::RandomTransition(m, rng), ev);
-  const QpSolver warm_solver(SmallQpOptions(true));
-  const QpSolver cold_solver(SmallQpOptions(false));
+  const QpSolver solver;
   ReleaseStepOptions options;
   options.dense_prefix = ReleaseStepOptions::DensePrefix::kAlways;
   options.max_cache_support = 4;
-  options.frame_drift_ratio = 1e9;  // never reset: maximum carried state
-  options.frame_reject_streak = 0;
-  ReleaseStepContext context({&model}, &warm_solver, true, options);
+  ReleaseStepContext context({&model}, &solver, true, options);
   const PrivacyQuantifier cold(&model, true);
 
   Rng col_rng(812);
@@ -585,7 +492,7 @@ TEST(ReleaseStepFramePolicyTest, DenseToSparseTransitionKeepsColdAgreement) {
       ExpectVectorsNear(cached, reference, 1e-9);
       const auto outcome = context.CheckCandidate(column, 0.4, -1.0);
       const auto cold_check = cold.CheckArbitraryPrior(
-          reference, 0.4, cold_solver, Deadline::Infinite());
+          reference, 0.4, solver, Deadline::Infinite());
       EXPECT_EQ(outcome.per_model[0].satisfied, cold_check.satisfied)
           << "t=" << t << " cand=" << cand;
       EXPECT_NEAR(outcome.per_model[0].max_condition15,
@@ -601,7 +508,6 @@ TEST(ReleaseStepFramePolicyTest, DenseToSparseTransitionKeepsColdAgreement) {
   }
   if (!CacheForcedOffByEnv()) {
     EXPECT_GT(context.diagnostics().dense_prefix_checks, 0);
-    EXPECT_GT(context.diagnostics().frame_carries, 0);
   }
 }
 
@@ -610,13 +516,7 @@ PristeOptions DeltaLocOptions(bool accelerated) {
   options.epsilon = 0.6;
   options.initial_alpha = 0.3;
   options.qp_threshold_seconds = 5.0;
-  options.qp.grid_points = 9;
-  options.qp.refine_iters = 4;
-  options.qp.pga_restarts = 1;
-  options.qp.pga_iters = 30;
-  options.qp.warm_start = accelerated;
   options.release.prefix_cache = accelerated;
-  options.release.warm_start = accelerated;
   return options;
 }
 
@@ -678,8 +578,7 @@ TEST(ReleaseStepContextTest, FullGeoIndRunMatchesColdConfiguration) {
   }
   // GeoInd columns are dense and the horizon (4) is far below the
   // dense-prefix break-even (2m = 32), so from t = 2 on the engine must
-  // have chosen the cold chain — the QP warm starts are the acceleration
-  // there — and recorded the fallback.
+  // have chosen the cold chain and recorded the fallback.
   EXPECT_GT(result_a->release_diagnostics.cold_checks, 0);
   EXPECT_EQ(result_a->release_diagnostics.prefix_extensions, 0);
   if (!CacheForcedOffByEnv()) {

@@ -34,10 +34,6 @@ RunRecord RunPipeline(bool simd) {
   options.epsilon = 0.5;
   options.initial_alpha = 0.4;
   options.qp_threshold_seconds = 5.0;
-  options.qp.grid_points = 17;
-  options.qp.refine_iters = 6;
-  options.qp.pga_restarts = 1;
-  options.qp.pga_iters = 40;
   const PristeGeoInd priste(grid, model.transition(), {ev}, options);
   Rng rng(21);
   const markov::MarkovChain chain(model.transition(),

@@ -46,9 +46,6 @@ TEST(EndToEndTest, CommuterPipelineProtectsPresence) {
   core::PristeOptions options;
   options.epsilon = 0.7;
   options.initial_alpha = 0.5;
-  options.qp.grid_points = 17;
-  options.qp.refine_iters = 6;
-  options.qp.pga_restarts = 1;
 
   const core::PristeGeoInd priste(grid, *chain, {ev}, options);
   const markov::MarkovChain mc(*chain,
@@ -91,9 +88,6 @@ TEST(EndToEndTest, PatternOverGaussianGrid) {
   core::PristeOptions options;
   options.epsilon = 0.5;
   options.initial_alpha = 0.4;
-  options.qp.grid_points = 17;
-  options.qp.refine_iters = 6;
-  options.qp.pga_restarts = 1;
 
   const core::PristeGeoInd priste(grid, model.transition(), {ev}, options);
   const markov::MarkovChain mc = model.ChainUniformStart();

@@ -73,9 +73,6 @@ TEST(MechanismFamilyTest, PristeCalibratesCloakingFamily) {
   const double epsilon = 0.8;
   options.epsilon = epsilon;
   options.initial_alpha = 1.0;  // cloaking budget: R = 1 km initially
-  options.qp.grid_points = 17;
-  options.qp.refine_iters = 6;
-  options.qp.pga_restarts = 1;
 
   const auto family = std::make_shared<CloakingFamily>(grid);
   const core::PristeGeoInd priste(grid, {model}, options, family);
