@@ -44,13 +44,11 @@ PRISTE_THREADS="${PRISTE_THREADS:-4}" \
   --benchmark_context=priste_threads="${PRISTE_THREADS:-4}" \
   --benchmark_counters_tabular=true $EXTRA
 
-# The sparse-emission / exact-QP / release-step-engine families are part of
+# The exact-QP / release-step-engine / kernel-substrate families are part of
 # the recorded perf trajectory — fail loudly if a refactor drops them from
 # the binary.
-for family in BM_SparseEmissionTheoremVectors BM_SparseEmissionForwardBackward \
-              BM_QpExact BM_ReleaseStepCached BM_ReleaseStepDensePrefix \
-              BM_SharedEmissionCache BM_RowBlockReplicateDot \
-              BM_ArenaReleaseStep; do
+for family in BM_QpExact BM_ReleaseStepCached BM_ReleaseStepDensePrefix \
+              BM_SharedEmissionCache BM_RowBlockReplicateDot; do
   if ! grep -q "$family" "$OUT"; then
     echo "$OUT is missing benchmark family $family" >&2
     exit 1

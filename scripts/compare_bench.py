@@ -27,14 +27,11 @@ GUARDED_PREFIXES = [
     "BM_PropagateSparse",
     "BM_LiftedStepColumn/side:32/csr:1",
     "BM_ForwardBackward/side:32/csr:1",
-    "BM_SparseEmissionTheoremVectors/sparse_cols:1",
-    "BM_SparseEmissionForwardBackward/csr:1/sparse_cols:1",
     "BM_QpExact",
     "BM_ReleaseStepCached/cached:1",
     "BM_ReleaseStepDensePrefix/dense_rows:1",
     "BM_SharedEmissionCache/cached:1",
     "BM_RowBlockReplicateDot/simd:1",
-    "BM_ArenaReleaseStep/arena:1",
 ]
 
 

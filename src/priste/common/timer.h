@@ -27,10 +27,9 @@ class Timer {
 /// A wall-clock budget. `Deadline::Infinite()` never expires; used by the
 /// QP solver's conservative-release threshold (paper Section IV-C).
 ///
-/// Thread affinity: a Deadline is IMMUTABLE after construction — Expired()
-/// and is_infinite() only read const state — so, unlike Arena (whose
-/// single-threadedness is enforced with owner-thread DCHECKs), one Deadline
-/// may be shared by value or const reference across threads. Keep it that
+/// Thread safety: a Deadline is IMMUTABLE after construction — Expired()
+/// and is_infinite() only read const state — so one Deadline may be shared
+/// by value or const reference across threads. Keep it that
 /// way — any future mutating API (e.g. Extend()) must either take ownership
 /// semantics or copy-on-write, not mutate in place.
 class Deadline {

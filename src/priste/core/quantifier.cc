@@ -8,14 +8,10 @@
 namespace priste::core {
 namespace {
 
-// Shared Lemma III.2/III.3 chain over dense or sparse emission columns. Both
-// column types expose size() and MaxAbs(), and the model overloads
-// ApplyEmissionInPlace on the column type — the sparse form touches only the
-// support of each column.
-template <typename Column>
+// The Lemma III.2/III.3 chain over the emission columns p̃_{o_1} … p̃_{o_t}.
 TheoremVectors ComputeVectorsImpl(const LiftedEventModel& model,
                                   bool normalize_emissions,
-                                  const std::vector<Column>& emissions) {
+                                  const std::vector<linalg::Vector>& emissions) {
   const size_t m = model.num_states();
   const int t = static_cast<int>(emissions.size());
   PRISTE_CHECK_MSG(t >= 1, "need at least one observation");
@@ -98,11 +94,6 @@ PrivacyQuantifier::PrivacyQuantifier(const LiftedEventModel* model,
 
 TheoremVectors PrivacyQuantifier::ComputeVectors(
     const std::vector<linalg::Vector>& emissions) const {
-  return ComputeVectorsImpl(*model_, normalize_emissions_, emissions);
-}
-
-TheoremVectors PrivacyQuantifier::ComputeVectors(
-    const std::vector<linalg::SparseVector>& emissions) const {
   return ComputeVectorsImpl(*model_, normalize_emissions_, emissions);
 }
 

@@ -3,25 +3,21 @@
 
 #include <vector>
 
-#include "priste/common/arena.h"
 #include "priste/core/event_model.h"
 #include "priste/core/qp_solver.h"
 #include "priste/core/quantifier.h"
 #include "priste/linalg/row_block.h"
-#include "priste/linalg/sparse_vector.h"
 #include "priste/linalg/vector.h"
 
 namespace priste::core {
 
 /// Knobs for the release-step evaluation engine (Section IV-C's inner loop).
 struct ReleaseStepOptions {
-  /// Incrementally extend the lifted chain's prefix products across
-  /// timestamps instead of recomputing every Theorem-vector chain from t = 1.
-  /// Sparse first columns use one row per support cell; dense first columns
-  /// use the dense-prefix scheme (see dense_prefix). Off = cold chain
-  /// everywhere.
-  bool prefix_cache = true;
-
+  /// The engine extends the lifted chain's prefix products incrementally
+  /// across timestamps instead of recomputing every Theorem-vector chain
+  /// from t = 1: sparse first columns use one row per support cell, dense
+  /// first columns the dense-prefix scheme (see dense_prefix).
+  ///
   /// Sparse-row budget, with a PINNED boundary: the sparse prefix rows
   /// engage exactly when 1 ≤ |supp(p̃_{o_1})| ≤ min(max_cache_support, m−1)
   /// — support == max_cache_support is INCLUSIVE (still sparse-cached).
@@ -31,21 +27,19 @@ struct ReleaseStepOptions {
   /// it disables the whole prefix cache — sparse rows, dense rows, AND the
   /// t = 1 closed form — so every check runs the cold chain; the CI
   /// cold-path matrix relies on this. The PRISTE_MAX_CACHE_SUPPORT
-  /// environment variable, when set to a valid non-negative integer
-  /// (strictly parsed), overrides this knob at context construction.
+  /// environment variable (read through ReadIntEnv: a valid integer >= 0,
+  /// anything else warns and keeps this knob) overrides it at context
+  /// construction.
   size_t max_cache_support = 64;
 
   /// Dense-first-column incremental scheme: m dense lifted row chains
   /// r_i = Cᵀe_i · M₁D₂…M_{t−1}D_t — one per map state — extended once per
-  /// *accepted* timestamp, so a candidate check costs O(m·nnz(candidate))
-  /// instead of a fresh O(t) chain. The m-row family costs one StepRow
+  /// *accepted* timestamp, so a candidate check costs O(m·lifted) instead of
+  /// a fresh O(t) chain. The m-row family costs one StepRow
   /// sweep per accepted timestamp (per row family), which amortizes over
   /// the run: with C candidate checks per step the scheme beats the cold
   /// chain once the horizon T clears roughly 4m/C committed steps.
   enum class DensePrefix {
-    /// Dense first columns always fall back to the cold chain (PR-4
-    /// behavior).
-    kOff,
     /// Engage when the horizon hint (SetHorizonHint; the drivers pass the
     /// trajectory length) satisfies T ≥ 2·m — the documented break-even
     /// with the ≥ 2 candidate checks per step a halving search implies.
@@ -99,15 +93,15 @@ struct ReleaseCheckOutcome {
 ///
 /// where the lifted row r_s extends by one StepRow + one emission product per
 /// *accepted* timestamp — shared by every candidate of the next release step,
-/// which then costs O(support · nnz(candidate)) instead of a full O(t) chain
-/// per check. When the first column is *dense* the same identity holds with
+/// which then costs O(support · lifted) instead of a full O(t) chain per
+/// check. When the first column is *dense* the same identity holds with
 /// support = every map state: the dense-prefix scheme keeps all m row chains
 /// (the matrix R = Cᵀ·M₁D₂…, extended row-wise once per accepted timestamp)
-/// and evaluates candidates with fused replicate-and-dot kernels — O(m·nnz)
-/// per check, amortizing the m-row extension over long runs. Past the event
-/// window a second, accepting-masked row family yields b̄ while the unmasked
-/// family yields c̄ (Eqs. 19/20). Numerical agreement with the cold chain is
-/// ≤ 1e-9 at every prefix for both schemes (tested).
+/// and evaluates candidates with the same fused replicate-and-dot kernels —
+/// O(m·lifted) per check, amortizing the m-row extension over long runs.
+/// Past the event window a second, accepting-masked row family yields b̄
+/// while the unmasked family yields c̄ (Eqs. 19/20). Numerical agreement
+/// with the cold chain is ≤ 1e-9 at every prefix for both schemes (tested).
 ///
 /// Not thread-safe; create one per Run().
 class ReleaseStepContext {
@@ -136,14 +130,10 @@ class ReleaseStepContext {
   ReleaseCheckOutcome CheckCandidate(const linalg::Vector& column,
                                      double epsilon,
                                      double qp_threshold_seconds);
-  ReleaseCheckOutcome CheckCandidate(const linalg::SparseVector& column,
-                                     double epsilon,
-                                     double qp_threshold_seconds);
 
   /// Accepts `column` as the release for timestamp committed_steps() + 1 and
   /// extends the per-model prefix state.
   void Commit(const linalg::Vector& column);
-  void Commit(const linalg::SparseVector& column);
 
   /// Theorem vectors for `column` as the next candidate of `model_index` —
   /// served by the engaged cache (sparse rows or dense-prefix rows) when
@@ -151,21 +141,8 @@ class ReleaseStepContext {
   /// equivalence tests.
   TheoremVectors CandidateVectors(size_t model_index,
                                   const linalg::Vector& column);
-  TheoremVectors CandidateVectors(size_t model_index,
-                                  const linalg::SparseVector& column);
 
  private:
-  // Dense-or-sparse candidate view (no ownership).
-  struct ColumnView {
-    const linalg::Vector* dense = nullptr;
-    const linalg::SparseVector* sparse = nullptr;
-
-    size_t size() const { return dense != nullptr ? dense->size() : sparse->size(); }
-    double MaxAbs() const {
-      return dense != nullptr ? dense->MaxAbs() : sparse->MaxAbs();
-    }
-  };
-
   // kCached (sparse rows) and kDense (dense-prefix rows) share the row
   // machinery — kDense's support is every nonzero cell of the first column
   // and its candidate kernels are fused — while kCold replays the dense
@@ -197,34 +174,25 @@ class ReleaseStepContext {
     bool ones_contract_ready = false;
   };
 
-  ReleaseCheckOutcome CheckImpl(const ColumnView& column, double epsilon,
-                                double qp_threshold_seconds);
-  void CommitImpl(const ColumnView& column);
-  /// `candidate_in_history` marks that CheckImpl already appended the
-  /// densified candidate to history_ (cold path) — once per check, not once
-  /// per model.
-  TheoremVectors VectorsImpl(size_t model_index, const ColumnView& column,
-                             bool candidate_in_history = false);
+  /// `candidate_in_history` marks that CheckCandidate already appended the
+  /// candidate to history_ (cold path) — once per check, not once per model.
+  TheoremVectors VectorsImpl(size_t model_index, const linalg::Vector& column,
+                             bool candidate_in_history);
   bool UsesCachePath() const {
     return mode_ == Mode::kCached || mode_ == Mode::kDense ||
-           (mode_ == Mode::kUndecided && options_.prefix_cache &&
-            options_.max_cache_support > 0);
+           (mode_ == Mode::kUndecided && options_.max_cache_support > 0);
   }
 
   // Cached-path helpers (shared by the sparse and dense-prefix schemes).
   void EnsureStepRows(ModelEngine& engine, bool need_masked);
-  TheoremVectors CachedVectors(ModelEngine& engine, const ColumnView& column);
-  void DecideMode(const ColumnView& first_column);
+  TheoremVectors CachedVectors(ModelEngine& engine,
+                               const linalg::Vector& column);
+  void DecideMode(const linalg::Vector& first_column);
   void BuildMaskedRows(ModelEngine& engine);
 
-  double CandidateScale(const ColumnView& column) const;
+  double CandidateScale(const linalg::Vector& column) const;
 
   std::vector<ModelEngine> engines_;
-  // Per-candidate transient scratch (sparse-candidate gather staging in
-  // CachedVectors). Pointers never outlive the check that bumped them; the
-  // whole footprint is recycled at every accepted timestamp (CommitImpl), so
-  // steady state allocates nothing.
-  Arena arena_;
   const QpSolver* solver_;
   bool normalize_emissions_;
   ReleaseStepOptions options_;

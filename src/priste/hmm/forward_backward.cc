@@ -5,24 +5,14 @@
 namespace priste::hmm {
 namespace {
 
-// Dense/sparse emission columns share every recursion below; the only
-// per-type operations are the size probe (both types spell it size()), the
-// first-step Hadamard with the initial distribution, and the fused
-// transition kernels (overloaded on the column type).
 void FirstAlphaInto(const linalg::Vector& initial, const linalg::Vector& e,
                     linalg::Vector& out) {
   for (size_t i = 0; i < out.size(); ++i) out[i] = initial[i] * e[i];
 }
 
-void FirstAlphaInto(const linalg::Vector& initial,
-                    const linalg::SparseVector& e, linalg::Vector& out) {
-  e.HadamardInto(initial, out);
-}
-
-template <typename Column>
 Status ValidateInputs(const markov::TransitionMatrix& transition,
                       const linalg::Vector& initial,
-                      const std::vector<Column>& emissions) {
+                      const std::vector<linalg::Vector>& emissions) {
   const size_t m = transition.num_states();
   if (initial.size() != m) {
     return Status::InvalidArgument("initial distribution size != num_states");
@@ -42,10 +32,9 @@ Status ValidateInputs(const markov::TransitionMatrix& transition,
 // `alphas` with α̂_t (each summing to 1) and `scales` with the per-step
 // normalizers c_t. Allocation-free per step: every vector is written in
 // place via the chain's fused kernels. Fails only on a genuine zero.
-template <typename Column>
 Status ScaledForward(const markov::TransitionMatrix& transition,
                      const linalg::Vector& initial,
-                     const std::vector<Column>& emissions,
+                     const std::vector<linalg::Vector>& emissions,
                      std::vector<linalg::Vector>& alphas,
                      std::vector<double>& scales) {
   const size_t m = transition.num_states();
@@ -73,10 +62,11 @@ Status ScaledForward(const markov::TransitionMatrix& transition,
   return Status::Ok();
 }
 
-template <typename Column>
-StatusOr<ForwardBackwardResult> ForwardBackwardImpl(
+}  // namespace
+
+StatusOr<ForwardBackwardResult> ForwardBackward(
     const markov::TransitionMatrix& transition, const linalg::Vector& initial,
-    const std::vector<Column>& emissions) {
+    const std::vector<linalg::Vector>& emissions) {
   PRISTE_RETURN_IF_ERROR(ValidateInputs(transition, initial, emissions));
   const size_t m = transition.num_states();
   const size_t T = emissions.size();
@@ -115,10 +105,9 @@ StatusOr<ForwardBackwardResult> ForwardBackwardImpl(
   return out;
 }
 
-template <typename Column>
-StatusOr<std::vector<linalg::Vector>> ForwardOnlyImpl(
+StatusOr<std::vector<linalg::Vector>> ForwardOnly(
     const markov::TransitionMatrix& transition, const linalg::Vector& initial,
-    const std::vector<Column>& emissions) {
+    const std::vector<linalg::Vector>& emissions) {
   PRISTE_RETURN_IF_ERROR(ValidateInputs(transition, initial, emissions));
   std::vector<linalg::Vector> alphas;
   std::vector<double> scales;
@@ -127,53 +116,12 @@ StatusOr<std::vector<linalg::Vector>> ForwardOnlyImpl(
   return alphas;
 }
 
-}  // namespace
-
-StatusOr<ForwardBackwardResult> ForwardBackward(
-    const markov::TransitionMatrix& transition, const linalg::Vector& initial,
-    const std::vector<linalg::Vector>& emissions) {
-  return ForwardBackwardImpl(transition, initial, emissions);
-}
-
-StatusOr<ForwardBackwardResult> ForwardBackward(
-    const markov::TransitionMatrix& transition, const linalg::Vector& initial,
-    const std::vector<linalg::SparseVector>& emissions) {
-  return ForwardBackwardImpl(transition, initial, emissions);
-}
-
-StatusOr<std::vector<linalg::Vector>> ForwardOnly(
-    const markov::TransitionMatrix& transition, const linalg::Vector& initial,
-    const std::vector<linalg::Vector>& emissions) {
-  return ForwardOnlyImpl(transition, initial, emissions);
-}
-
-StatusOr<std::vector<linalg::Vector>> ForwardOnly(
-    const markov::TransitionMatrix& transition, const linalg::Vector& initial,
-    const std::vector<linalg::SparseVector>& emissions) {
-  return ForwardOnlyImpl(transition, initial, emissions);
-}
-
 StatusOr<linalg::Vector> PosteriorUpdate(const linalg::Vector& prior,
                                          const linalg::Vector& emission_column) {
   if (prior.size() != emission_column.size()) {
     return Status::InvalidArgument("prior/emission size mismatch");
   }
   linalg::Vector post = prior.Hadamard(emission_column);
-  const double norm = post.Sum();
-  if (norm <= 0.0) {
-    return Status::FailedPrecondition("observation impossible under prior");
-  }
-  post.ScaleInPlace(1.0 / norm);
-  return post;
-}
-
-StatusOr<linalg::Vector> PosteriorUpdate(
-    const linalg::Vector& prior, const linalg::SparseVector& emission_column) {
-  if (prior.size() != emission_column.size()) {
-    return Status::InvalidArgument("prior/emission size mismatch");
-  }
-  linalg::Vector post(prior.size());
-  emission_column.HadamardInto(prior, post);
   const double norm = post.Sum();
   if (norm <= 0.0) {
     return Status::FailedPrecondition("observation impossible under prior");

@@ -114,30 +114,6 @@ void TransitionMatrix::PropagateHadamardInto(const linalg::Vector& p,
   out.HadamardInPlace(h);
 }
 
-void TransitionMatrix::PropagateHadamardInto(const linalg::Vector& p,
-                                             const linalg::SparseVector& h,
-                                             linalg::Vector& out) const {
-  const size_t m = num_states();
-  PRISTE_CHECK(p.size() == m && h.size() == m && out.size() == m);
-  PRISTE_DCHECK(p.data() != out.data());
-  if (sparse_ != nullptr) {
-    sparse_->VecMatHadamardInto(p, h, out);
-    return;
-  }
-  // Dense: only h's support columns of p·M can survive the mask, so sweep
-  // those columns directly instead of the full m² product.
-  std::memset(out.data(), 0, m * sizeof(double));
-  const std::vector<size_t>& idx = h.indices();
-  const std::vector<double>& val = h.values();
-  const double* pp = p.data();
-  for (size_t k = 0; k < idx.size(); ++k) {
-    const size_t c = idx[k];
-    double acc = 0.0;
-    for (size_t r = 0; r < m; ++r) acc += pp[r] * matrix_.RowPtr(r)[c];
-    out[c] = val[k] * acc;
-  }
-}
-
 void TransitionMatrix::BackwardInto(const linalg::Vector& v,
                                     linalg::Vector& out) const {
   PRISTE_CHECK(v.size() == num_states() && out.size() == num_states());
@@ -161,31 +137,6 @@ void TransitionMatrix::BackwardHadamardInto(const linalg::Vector& h,
   double* o = out.data();
   for (size_t r = 0; r < m; ++r) {
     o[r] = linalg::kernels::DotHadamard(matrix_.RowPtr(r), hp, vp, m);
-  }
-}
-
-void TransitionMatrix::BackwardHadamardInto(const linalg::SparseVector& h,
-                                            const linalg::Vector& v,
-                                            linalg::Vector& out) const {
-  const size_t m = num_states();
-  PRISTE_CHECK(v.size() == m && h.size() == m && out.size() == m);
-  PRISTE_DCHECK(v.data() != out.data());
-  if (sparse_ != nullptr) {
-    sparse_->MatVecHadamardInto(h, v, out);
-    return;
-  }
-  const std::vector<size_t>& idx = h.indices();
-  const std::vector<double>& val = h.values();
-  const size_t nnz = idx.size();
-  const double* vp = v.data();
-  double* o = out.data();
-  for (size_t r = 0; r < m; ++r) {
-    const double* row = matrix_.RowPtr(r);
-    double acc = 0.0;
-    for (size_t k = 0; k < nnz; ++k) {
-      acc += row[idx[k]] * val[k] * vp[idx[k]];
-    }
-    o[r] = acc;
   }
 }
 

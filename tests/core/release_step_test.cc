@@ -63,16 +63,15 @@ void RunEquivalenceSchedule(const LiftedEventModel* model, size_t m,
   for (int t = 1; t <= horizon; ++t) {
     for (int cand = 0; cand < 2; ++cand) {
       const linalg::Vector column =
-          testing::RandomSparseEmissionColumn(m, 4, rng);
-      const linalg::SparseVector sparse = linalg::SparseVector::FromDense(column);
+          testing::RandomDeltaLocEmissionColumn(m, 4, rng);
 
-      const TheoremVectors cached = context.CandidateVectors(0, sparse);
+      const TheoremVectors cached = context.CandidateVectors(0, column);
       history.push_back(column);
       const TheoremVectors reference = cold.ComputeVectors(history);
       ExpectVectorsNear(cached, reference, 1e-9);
 
       const ReleaseCheckOutcome outcome =
-          context.CheckCandidate(sparse, epsilon, /*qp_threshold_seconds=*/-1.0);
+          context.CheckCandidate(column, epsilon, /*qp_threshold_seconds=*/-1.0);
       const PrivacyCheckResult cold_check = cold.CheckArbitraryPrior(
           reference, epsilon, solver, Deadline::Infinite());
       ASSERT_EQ(outcome.per_model.size(), 1u);
@@ -85,7 +84,7 @@ void RunEquivalenceSchedule(const LiftedEventModel* model, size_t m,
       history.pop_back();
 
       if (cand == 1) {
-        context.Commit(sparse);
+        context.Commit(column);
         history.push_back(column);
       }
     }
@@ -176,18 +175,17 @@ TEST(ReleaseStepContextTest, PrefixCacheOptOutMatchesCachedResults) {
   const TwoWorldModel model(testing::RandomTransition(m, rng), ev);
   const QpSolver solver;
   ReleaseStepOptions off;
-  off.prefix_cache = false;
+  off.max_cache_support = 0;  // the master off switch
   ReleaseStepContext cached_ctx({&model}, &solver);
   ReleaseStepContext cold_ctx({&model}, &solver, true, off);
 
   Rng col_rng(404);
   for (int t = 1; t <= 6; ++t) {
     const linalg::Vector column =
-        testing::RandomSparseEmissionColumn(m, 5, col_rng);
-    const linalg::SparseVector sparse = linalg::SparseVector::FromDense(column);
-    ExpectVectorsNear(cached_ctx.CandidateVectors(0, sparse),
+        testing::RandomDeltaLocEmissionColumn(m, 5, col_rng);
+    ExpectVectorsNear(cached_ctx.CandidateVectors(0, column),
                       cold_ctx.CandidateVectors(0, column), 1e-9);
-    cached_ctx.Commit(sparse);
+    cached_ctx.Commit(column);
     cold_ctx.Commit(column);
   }
   if (!CacheForcedOffByEnv()) {
@@ -200,7 +198,6 @@ TEST(ReleaseStepContextTest, PrefixCacheOptOutMatchesCachedResults) {
 // scheme (m row chains, fused replicate-and-dot candidate kernels) must
 // agree with the cold recompute-from-t=1 chain at every prefix — Theorem
 // vectors to ≤ 1e-9, QP condition maxima to ≤ 1e-9, decisions exactly.
-// Sparse candidate *views* ride along in dense mode (the non-fused kernel).
 void RunDenseEquivalenceSchedule(const LiftedEventModel* model, size_t m,
                                  uint64_t seed) {
   Rng rng(seed);
@@ -218,14 +215,7 @@ void RunDenseEquivalenceSchedule(const LiftedEventModel* model, size_t m,
     for (int cand = 0; cand < 2; ++cand) {
       const linalg::Vector column = testing::RandomEmissionColumn(m, rng);
 
-      TheoremVectors cached;
-      if (cand == 0) {
-        cached = context.CandidateVectors(0, column);  // fused dense kernel
-      } else {
-        const linalg::SparseVector sparse =
-            linalg::SparseVector::FromDense(column);
-        cached = context.CandidateVectors(0, sparse);  // sparse view
-      }
+      const TheoremVectors cached = context.CandidateVectors(0, column);
       history.push_back(column);
       const TheoremVectors reference = cold.ComputeVectors(history);
       ExpectVectorsNear(cached, reference, 1e-9);
@@ -314,14 +304,13 @@ TEST(ReleaseStepDensePrefixTest, MaxCacheSupportBoundaryIsInclusive) {
   const QpSolver solver;
 
   ReleaseStepOptions options;
-  options.max_cache_support = 5;
-  options.dense_prefix = ReleaseStepOptions::DensePrefix::kOff;
+  options.max_cache_support = 5;  // kAuto without a horizon hint stays cold
 
   Rng col_rng(702);
   const linalg::Vector at_boundary =
-      testing::RandomSparseEmissionColumn(m, 5, col_rng);
+      testing::RandomDeltaLocEmissionColumn(m, 5, col_rng);
   const linalg::Vector over_boundary =
-      testing::RandomSparseEmissionColumn(m, 6, col_rng);
+      testing::RandomDeltaLocEmissionColumn(m, 6, col_rng);
 
   // |support| == max_cache_support → sparse-cached.
   {
@@ -334,7 +323,7 @@ TEST(ReleaseStepDensePrefixTest, MaxCacheSupportBoundaryIsInclusive) {
       EXPECT_EQ(context.diagnostics().dense_fallbacks, 0);
     }
   }
-  // |support| == max_cache_support + 1, dense-prefix off → cold fallback,
+  // |support| == max_cache_support + 1, no horizon hint → cold fallback,
   // counted exactly once per check (two checks → 2, despite two models).
   if (!CacheForcedOffByEnv()) {
     ReleaseStepContext context({&model_a, &model_b}, &solver, true, options);
@@ -415,7 +404,7 @@ TEST(ReleaseStepDensePrefixTest, EnvOverridesMaxCacheSupport) {
   const QpSolver solver;
   Rng col_rng(706);
   const linalg::Vector sparse_col =
-      testing::RandomSparseEmissionColumn(m, 3, col_rng);
+      testing::RandomDeltaLocEmissionColumn(m, 3, col_rng);
 
   setenv("PRISTE_MAX_CACHE_SUPPORT", "0", 1);
   {
@@ -484,8 +473,9 @@ TEST(ReleaseStepDensePrefixTest, DenseToSparseTransitionKeepsColdAgreement) {
       // dense/sparse with drifting sparse supports.
       const bool dense_candidate = t == 1 || cand == 0;
       const linalg::Vector column =
-          dense_candidate ? testing::RandomEmissionColumn(m, col_rng)
-                          : testing::RandomSparseEmissionColumn(m, 3, col_rng);
+          dense_candidate
+              ? testing::RandomEmissionColumn(m, col_rng)
+              : testing::RandomDeltaLocEmissionColumn(m, 3, col_rng);
       const TheoremVectors cached = context.CandidateVectors(0, column);
       history.push_back(column);
       const TheoremVectors reference = cold.ComputeVectors(history);
@@ -516,7 +506,7 @@ PristeOptions DeltaLocOptions(bool accelerated) {
   options.epsilon = 0.6;
   options.initial_alpha = 0.3;
   options.qp_threshold_seconds = 5.0;
-  options.release.prefix_cache = accelerated;
+  if (!accelerated) options.release.max_cache_support = 0;
   return options;
 }
 

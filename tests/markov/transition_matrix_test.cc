@@ -160,26 +160,6 @@ TEST(TransitionMatrixTest, FusedKernelsMatchComposition) {
   EXPECT_LT(fused_back.Minus(composed).MaxAbs(), 1e-12);
 }
 
-TEST(TransitionMatrixTest, SparseEmissionFusedKernelsMatchDenseColumns) {
-  // The sparse-column fused kernels must agree with the dense-column forms
-  // on the densified column — on BOTH the CSR and the force-dense path.
-  Rng rng(27);
-  const linalg::Vector p = testing::RandomProbability(35, rng);
-  const linalg::Vector h = testing::RandomSparseEmissionColumn(35, 4, rng);
-  const linalg::SparseVector hs = linalg::SparseVector::FromDense(h);
-  for (const bool allow_sparse : {true, false}) {
-    const TransitionMatrix chain = GridRandomWalk(7, 5, allow_sparse);
-    ASSERT_EQ(chain.has_sparse(), allow_sparse);
-    linalg::Vector dense_col(35), sparse_col(35);
-    chain.PropagateHadamardInto(p, h, dense_col);
-    chain.PropagateHadamardInto(p, hs, sparse_col);
-    EXPECT_LT(sparse_col.Minus(dense_col).MaxAbs(), 1e-14);
-    chain.BackwardHadamardInto(h, p, dense_col);
-    chain.BackwardHadamardInto(hs, p, sparse_col);
-    EXPECT_LT(sparse_col.Minus(dense_col).MaxAbs(), 1e-14);
-  }
-}
-
 TEST(TransitionMatrixTest, RowDistributionIsProbability) {
   Rng rng(11);
   const TransitionMatrix m = testing::RandomTransition(4, rng);

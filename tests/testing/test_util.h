@@ -60,10 +60,10 @@ inline linalg::Vector RandomEmissionColumn(size_t m, Rng& rng) {
 }
 
 /// A δ-location-set-style emission column: zero outside a random support of
-/// `support` cells, values in (0, 1] on it. Dense form; convert with
-/// SparseVector::FromDense to exercise the sparse kernels.
-inline linalg::Vector RandomSparseEmissionColumn(size_t m, size_t support,
-                                                 Rng& rng) {
+/// `support` cells, values in (0, 1] on it. A first column like this drives
+/// the release engine's sparse-support row mode.
+inline linalg::Vector RandomDeltaLocEmissionColumn(size_t m, size_t support,
+                                                   Rng& rng) {
   PRISTE_CHECK(support >= 1 && support <= m);
   linalg::Vector e(m);
   size_t placed = 0;
