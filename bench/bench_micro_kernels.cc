@@ -19,6 +19,7 @@
 #include "priste/hmm/forward_backward.h"
 #include "priste/linalg/kernels.h"
 #include "priste/linalg/row_block.h"
+#include "priste/lppm/delta_location_set.h"
 #include "priste/lppm/planar_laplace.h"
 
 namespace {
@@ -164,6 +165,36 @@ void BM_SharedEmissionCache(benchmark::State& state) {
 }
 BENCHMARK(BM_SharedEmissionCache)->Arg(0)->Arg(1)->ArgName("cached")
     ->Unit(benchmark::kMillisecond);
+
+// One rung of Algorithm 3 on a Fig. 10-scale map: build the δ-restricted
+// candidate, sample the true cell's row and take the released column — the
+// PristeDeltaLoc::Run path. ΔX is the δ = 0.2 set of the chain's first
+// prediction from a uniform start (about 0.8·m cells, as in the Fig. 10
+// workload). The materialize:1 arm also builds the full m×m emission(), the
+// cost every rung paid when the matrix was built eagerly.
+void BM_DeltaRestrictedCandidate(benchmark::State& state) {
+  const int side = static_cast<int>(state.range(0));
+  const bool materialize = state.range(1) != 0;
+  Fixture& f = SharedFixture(side);
+  const linalg::Vector predicted =
+      f.mobility.transition().Propagate(f.pi);
+  const auto location_set = lppm::DeltaLocationSet(predicted, 0.2);
+  PRISTE_CHECK(location_set.ok());
+  Rng rng(17);
+  int true_cell = 0;
+  for (auto _ : state) {
+    const lppm::DeltaRestrictedPlanarLaplace mech(f.grid, 0.2, *location_set);
+    const int o = mech.Perturb(true_cell, rng);
+    double acc = mech.Column(o).Sum();
+    if (materialize) acc += mech.emission()(0, static_cast<size_t>(o));
+    benchmark::DoNotOptimize(acc);
+    true_cell = (true_cell + 1) % static_cast<int>(f.grid.num_cells());
+  }
+}
+BENCHMARK(BM_DeltaRestrictedCandidate)
+    ->Args({16, 0})
+    ->Args({16, 1})
+    ->ArgNames({"side", "materialize"});
 
 // ---------------------------------------------------------------------------
 // Dense vs CSR kernel pairs. The workload is the paper's natural sparse

@@ -44,11 +44,12 @@ PRISTE_THREADS="${PRISTE_THREADS:-4}" \
   --benchmark_context=priste_threads="${PRISTE_THREADS:-4}" \
   --benchmark_counters_tabular=true $EXTRA
 
-# The exact-QP / release-step-engine / kernel-substrate families are part of
-# the recorded perf trajectory — fail loudly if a refactor drops them from
-# the binary.
+# The exact-QP / release-step-engine / kernel-substrate / δ-candidate
+# families are part of the recorded perf trajectory — fail loudly if a
+# refactor drops them from the binary.
 for family in BM_QpExact BM_ReleaseStepCached BM_ReleaseStepDensePrefix \
-              BM_SharedEmissionCache BM_RowBlockReplicateDot; do
+              BM_SharedEmissionCache BM_RowBlockReplicateDot \
+              BM_DeltaRestrictedCandidate/side:16/materialize:0; do
   if ! grep -q "$family" "$OUT"; then
     echo "$OUT is missing benchmark family $family" >&2
     exit 1

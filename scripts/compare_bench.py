@@ -32,6 +32,7 @@ GUARDED_PREFIXES = [
     "BM_ReleaseStepDensePrefix/dense_rows:1",
     "BM_SharedEmissionCache/cached:1",
     "BM_RowBlockReplicateDot/simd:1",
+    "BM_DeltaRestrictedCandidate/side:16/materialize:0",
 ]
 
 

@@ -47,8 +47,11 @@ Result<RunResult> PristeDeltaLoc::Run(const geo::Trajectory& true_trajectory,
   for (const auto& model : models_) raw_models.push_back(model.get());
   ReleaseStepContext context(std::move(raw_models), &solver_,
                              options_.normalize_emissions, options_.release);
-  // δ-location-set columns are usually sparse, but a wide first ΔX still
-  // benefits from the dense-prefix family on long runs (DensePrefix::kAuto).
+  // δ columns are not sparse: every true cell has a surrogate in ΔX_t, so
+  // a released column is positive on all m cells. The first commit is
+  // therefore too wide for the sparse-support rows and, short of the
+  // dense-prefix family, every check after t = 1 runs the cold chain. The
+  // hint lets a run with T >= 2m engage that family (DensePrefix::kAuto).
   context.SetHorizonHint(T);
 
   static Histogram& step_seconds =
@@ -72,17 +75,21 @@ Result<RunResult> PristeDeltaLoc::Run(const geo::Trajectory& true_trajectory,
     step.t = t;
     step.true_cell = true_cell;
     double alpha = options_.initial_alpha;
+    const auto effective = [this](double a) {
+      return a < options_.min_alpha ? 0.0 : a;
+    };
     linalg::Vector released_column;
 
+    // One candidate per rung: the surrogates of ΔX_t are computed once and
+    // shared by every WithAlpha, and each rung evaluates only the row it
+    // samples and the column it releases.
+    lppm::DeltaRestrictedPlanarLaplace mech(grid_, effective(alpha),
+                                            std::move(location_set));
     for (;;) {
-      const double effective_alpha =
-          alpha < options_.min_alpha ? 0.0 : alpha;
-      const lppm::DeltaRestrictedPlanarLaplace mech(grid_, effective_alpha,
-                                                    location_set);
       const int o = mech.Perturb(true_cell, rng);
-      released_column = mech.emission().EmissionColumn(o);
+      released_column = mech.Column(o);
 
-      if (effective_alpha == 0.0) {
+      if (mech.alpha() == 0.0) {
         // Uniform-over-ΔX release: the α → 0 anchor commits WITHOUT a
         // Theorem IV.1 check and ends the halving loop. Unlike the
         // unrestricted mechanism it is only uniform within ΔX_t, not over
@@ -112,6 +119,7 @@ Result<RunResult> PristeDeltaLoc::Run(const geo::Trajectory& true_trajectory,
       }
       alpha *= options_.decay;
       ++step.halvings;
+      mech = mech.WithAlpha(effective(alpha));
     }
 
     // Line 8 / Eq. (21): posterior update from the released observation.

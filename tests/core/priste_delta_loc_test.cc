@@ -7,6 +7,7 @@
 
 #include "priste/common/metrics.h"
 #include "priste/core/joint.h"
+#include "priste/core/release_step.h"
 #include "priste/event/presence.h"
 #include "priste/geo/gaussian_grid_model.h"
 #include "priste/hmm/forward_backward.h"
@@ -143,6 +144,111 @@ TEST(PristeDeltaLocTest, AnchorCommitsAreCountedUncertified) {
   }
   EXPECT_GT(anchored, 0);
   EXPECT_EQ(uncertified.value() - before, anchored);
+}
+
+// Algorithm 3 as the driver ran it before candidates were computed on
+// demand: a fresh mechanism per rung, whose full emission() matrix supplies
+// the sampled row and the released column.
+std::vector<StepRecord> ReferenceDeltaLocSteps(const Scenario& s, double delta,
+                                               const PristeOptions& options,
+                                               const geo::Trajectory& truth,
+                                               Rng& rng) {
+  const markov::TransitionMatrix transition = s.model.transition();
+  const TwoWorldModel model(transition, s.ev);
+  const QpSolver solver(options.qp);
+  ReleaseStepContext context({&model}, &solver, options.normalize_emissions,
+                             options.release);
+  context.SetHorizonHint(truth.length());
+  std::vector<StepRecord> steps;
+  linalg::Vector posterior = s.pi;
+  for (int t = 1; t <= truth.length(); ++t) {
+    const linalg::Vector predicted = transition.Propagate(posterior);
+    const auto set = lppm::DeltaLocationSet(predicted, delta);
+    PRISTE_CHECK(set.ok());
+    StepRecord step;
+    step.t = t;
+    step.true_cell = truth.At(t);
+    linalg::Vector column;
+    for (double alpha = options.initial_alpha;; alpha *= options.decay) {
+      const double effective = alpha < options.min_alpha ? 0.0 : alpha;
+      const lppm::DeltaRestrictedPlanarLaplace mech(s.grid, effective, *set);
+      const hmm::EmissionMatrix& e = mech.emission();
+      const int o = rng.SampleDiscrete(e.OutputDistribution(step.true_cell).as_std());
+      column = e.EmissionColumn(o);
+      bool accept = effective == 0.0;
+      if (!accept) {
+        const ReleaseCheckOutcome outcome = context.CheckCandidate(
+            column, options.epsilon, options.qp_threshold_seconds);
+        accept = outcome.all_satisfied;
+        if (outcome.timed_out) ++step.conservative_timeouts;
+      }
+      if (accept) {
+        context.Commit(column);
+        step.released_cell = o;
+        step.released_alpha = effective == 0.0 ? 0.0 : alpha;
+        break;
+      }
+      ++step.halvings;
+    }
+    const auto updated = hmm::PosteriorUpdate(predicted, column);
+    PRISTE_CHECK(updated.ok());
+    posterior = *updated;
+    steps.push_back(step);
+  }
+  return steps;
+}
+
+TEST(PristeDeltaLocTest, RunMatchesFullEmissionReferenceLoop) {
+  // Any drift of Row, Column or the shared surrogates from the full
+  // emission() matrix would change a sampled cell, a check or a posterior,
+  // and with it the step records.
+  const Scenario s;
+  const double delta = 0.3;
+  PristeOptions tight = FastOptions(0.05, 0.3);
+  tight.min_alpha = 0.02;
+  // Totals over every run: the schedules must reach halvings (WithAlpha),
+  // certified releases and α = 0 anchors.
+  int halvings = 0;
+  int certified = 0;
+  int anchored = 0;
+  for (const PristeOptions& options : {FastOptions(0.8, 0.3), tight}) {
+    const PristeDeltaLoc priste(s.grid, s.model.transition(), {s.ev}, delta,
+                                s.pi, options);
+    for (uint64_t seed : {1, 2, 3, 4, 5}) {
+      Rng truth_rng(100 + seed);
+      const markov::MarkovChain chain(s.model.transition(), s.pi);
+      const geo::Trajectory truth(chain.Sample(8, truth_rng));
+      Rng run_rng(seed);
+      Rng reference_rng(seed);
+      const auto result = priste.Run(truth, run_rng);
+      ASSERT_TRUE(result.ok()) << result.status();
+      const std::vector<StepRecord> reference =
+          ReferenceDeltaLocSteps(s, delta, options, truth, reference_rng);
+      ASSERT_EQ(result->steps.size(), reference.size());
+      for (size_t i = 0; i < reference.size(); ++i) {
+        const StepRecord& got = result->steps[i];
+        const StepRecord& want = reference[i];
+        SCOPED_TRACE(::testing::Message() << "seed " << seed << " t=" << want.t);
+        EXPECT_EQ(got.t, want.t);
+        EXPECT_EQ(got.true_cell, want.true_cell);
+        EXPECT_EQ(got.released_cell, want.released_cell);
+        EXPECT_EQ(got.released_alpha, want.released_alpha);
+        EXPECT_EQ(got.halvings, want.halvings);
+        EXPECT_EQ(got.conservative_timeouts, want.conservative_timeouts);
+        halvings += want.halvings;
+        if (want.released_alpha > 0.0) {
+          ++certified;
+        } else {
+          ++anchored;
+        }
+      }
+      // Both loops drew the same number of samples from equal seeds.
+      EXPECT_EQ(run_rng.NextUint64(), reference_rng.NextUint64());
+    }
+  }
+  EXPECT_GT(halvings, 0);
+  EXPECT_GT(certified, 0);
+  EXPECT_GT(anchored, 0);
 }
 
 TEST(PristeDeltaLocTest, SmallerDeltaGivesLargerSets) {
