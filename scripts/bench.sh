@@ -44,12 +44,13 @@ PRISTE_THREADS="${PRISTE_THREADS:-4}" \
   --benchmark_context=priste_threads="${PRISTE_THREADS:-4}" \
   --benchmark_counters_tabular=true $EXTRA
 
-# The exact-QP / release-step-engine / kernel-substrate / δ-candidate
-# families are part of the recorded perf trajectory — fail loudly if a
-# refactor drops them from the binary.
+# The exact-QP / release-step-engine / kernel-substrate / δ-candidate /
+# dense column-step families are part of the recorded perf trajectory —
+# fail loudly if a refactor drops them from the binary.
 for family in BM_QpExact BM_ReleaseStepCached BM_ReleaseStepDensePrefix \
               BM_SharedEmissionCache BM_RowBlockReplicateDot \
-              BM_DeltaRestrictedCandidate/side:16/materialize:0; do
+              BM_DeltaRestrictedCandidate/side:16/materialize:0 \
+              BM_LiftedStepColumn/side:16/csr:0 BM_TheoremVectors/16; do
   if ! grep -q "$family" "$OUT"; then
     echo "$OUT is missing benchmark family $family" >&2
     exit 1

@@ -26,6 +26,8 @@ import sys
 GUARDED_PREFIXES = [
     "BM_PropagateSparse",
     "BM_LiftedStepColumn/side:32/csr:1",
+    "BM_LiftedStepColumn/side:16/csr:0",
+    "BM_TheoremVectors/16",
     "BM_ForwardBackward/side:32/csr:1",
     "BM_QpExact",
     "BM_ReleaseStepCached/cached:1",

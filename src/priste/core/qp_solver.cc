@@ -1,9 +1,11 @@
 #include "priste/core/qp_solver.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "priste/common/check.h"
 #include "priste/common/metrics.h"
+#include "priste/linalg/kernels.h"
 
 namespace priste::core {
 namespace {
@@ -32,6 +34,10 @@ QpSolver::Result QpSolver::Maximize(const Objective& objective,
   // the full n coordinates.
   std::vector<size_t> index;
   std::vector<double> a, d, l;
+  index.reserve(n);
+  a.reserve(n);
+  d.reserve(n);
+  l.reserve(n);
   bool have_slack = false;
   for (size_t i = 0; i < n; ++i) {
     const bool live = objective.a[i] != 0.0 || objective.d[i] != 0.0 ||
@@ -61,31 +67,30 @@ QpSolver::Result QpSolver::Maximize(const Objective& objective,
 
   // Edge interiors: on π = λe_i + (1−λ)e_j, f = Aλ² + Bλ + C. Only a concave
   // edge (A < 0) whose stationary point λ* = −B/(2A) lies in (0, 1) can beat
-  // its endpoints; with A < 0 that range test is 0 < B < −2A, checked before
-  // the division.
+  // its endpoints (kernels::ConcaveEdgeInterior). EdgeScan skips, four
+  // edges at a time, every block in which no edge beats the incumbent; the
+  // scalar body then walks the block it stops at, updating `best` edge by
+  // edge in ascending j exactly as a full scalar sweep would (qp_solver.h).
   Result result;
   for (size_t i = 0; i + 1 < k; ++i) {
     if (deadline.Expired()) {
       result.timed_out = true;
       break;
     }
-    for (size_t j = i + 1; j < k; ++j) {
-      const double da = a[i] - a[j];
-      const double dd = d[i] - d[j];
-      const double curvature = da * dd;
-      const double slope = a[j] * dd + d[j] * da + (l[i] - l[j]);
-      if (!(curvature < 0.0 && slope > 0.0 && slope < -2.0 * curvature)) {
-        continue;
-      }
-      const double lambda = -slope / (2.0 * curvature);
-      const double mu = 1.0 - lambda;
-      const double v = (lambda * a[i] + mu * a[j]) * (lambda * d[i] + mu * d[j]) +
-                       (lambda * l[i] + mu * l[j]);
-      if (v > best) {
-        best = v;
-        best_i = i;
-        best_j = j;
-        best_lambda = lambda;
+    for (size_t j = i + 1; j < k;) {
+      j = linalg::kernels::EdgeScan(a.data(), d.data(), l.data(), i, j, k,
+                                    best);
+      const size_t block_end = std::min(j + 4, k);
+      for (; j < block_end; ++j) {
+        double lambda, v;
+        if (linalg::kernels::ConcaveEdgeInterior(a.data(), d.data(), l.data(),
+                                                 i, j, &lambda, &v) &&
+            v > best) {
+          best = v;
+          best_i = i;
+          best_j = j;
+          best_lambda = lambda;
+        }
       }
     }
   }

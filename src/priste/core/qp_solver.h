@@ -30,6 +30,20 @@ namespace priste::core {
 /// support of size k. The returned argmax is exactly λe_i + (1−λ)e_j in the
 /// full n coordinates, hence exactly feasible.
 ///
+/// The edge loop runs at vector throughput without changing its result.
+/// For each i, linalg::kernels::EdgeScan evaluates edges (i, j) four at a
+/// time with the same operation sequence as the scalar test (no FMA; the
+/// per-edge arithmetic is kernels::ConcaveEdgeInterior for both) and
+/// returns the first block of four holding an edge that beats the current
+/// incumbent. Why that is exact: the scalar loop changes its state only at
+/// an edge whose value exceeds the incumbent, and the incumbent is fixed
+/// until then, so every skipped block is one where the scalar loop would
+/// have changed nothing. The block the scan stops at is walked by the
+/// scalar body edge by edge, updating the incumbent with the strict `>`
+/// (earliest candidate wins ties), and the scan resumes after it with the
+/// new incumbent. The maximum, the argmax and the tie rule are therefore
+/// those of the plain (i, j) enumeration, bit for bit.
+///
 /// A Deadline bounds the work: it is polled once per outer row of the edge
 /// enumeration, and on expiry the result is flagged timed_out. PriSTE's
 /// conservative-release rule (Section IV-C) then treats the check as failed

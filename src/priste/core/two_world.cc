@@ -184,10 +184,11 @@ void TwoWorldModel::StepColumnInto(const linalg::Vector& v, int t,
   double* of = out.data();
   double* ot = out.data() + m;
 
+  // Both worlds step through the same base matrix, so one paired sweep
+  // serves them (each output equals its own BackwardSpan).
   const StepForm form = FormAt(t);
   if (!form.in_window) {
-    base.BackwardSpan(vf, of);
-    base.BackwardSpan(vt, ot);
+    base.BackwardSpanPair(vf, vt, of, ot);
     return;
   }
 
@@ -200,11 +201,9 @@ void TwoWorldModel::StepColumnInto(const linalg::Vector& v, int t,
     mix[i] = (1.0 - d[i]) * vf[i] + d[i] * vt[i];
   }
   if (form.enter_true) {
-    base.BackwardSpan(mix.data(), of);
-    base.BackwardSpan(vt, ot);
+    base.BackwardSpanPair(mix.data(), vt, of, ot);
   } else {
-    base.BackwardSpan(vf, of);
-    base.BackwardSpan(mix.data(), ot);
+    base.BackwardSpanPair(vf, mix.data(), of, ot);
   }
 }
 

@@ -4,8 +4,10 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 
+#include "priste/common/check.h"
 #include "priste/common/metrics.h"
 #include "priste/common/strings.h"
 #include "priste/linalg/kernels_dispatch.h"
@@ -68,6 +70,38 @@ PRISTE_HOT_PATH void ScalarReplicateDotPair(const double* row, size_t blocks, si
   *plain = pt;
 }
 
+// The per-row loops the interleaved AVX2 kernels are bit-identical to.
+PRISTE_HOT_PATH void ScalarMatVecRows(const double* mat, size_t rows, size_t n,
+                                      const double* const* v,
+                                      double* const* out, size_t nv) {
+  for (size_t k = 0; k < nv; ++k) {
+    for (size_t r = 0; r < rows; ++r) {
+      out[k][r] = detail::ScalarDot(mat + r * n, v[k], n);
+    }
+  }
+}
+
+PRISTE_HOT_PATH void ScalarVecMatRows(const double* p, size_t rows, size_t n,
+                                      const double* mat, double* out) {
+  std::memset(out, 0, n * sizeof(double));
+  for (size_t r = 0; r < rows; ++r) {
+    if (p[r] == 0.0) continue;
+    detail::ScalarAxpy(p[r], mat + r * n, out, n);
+  }
+}
+
+PRISTE_HOT_PATH size_t ScalarEdgeScan(const double* a, const double* d,
+                                      const double* l, size_t i, size_t begin,
+                                      size_t end, double best) {
+  for (size_t j = begin; j < end; ++j) {
+    double lambda, value;
+    if (ConcaveEdgeInterior(a, d, l, i, j, &lambda, &value) && value > best) {
+      return begin + (j - begin) / 4 * 4;
+    }
+  }
+  return end;
+}
+
 constexpr KernelTable kScalarTable = {
     &detail::ScalarSum,
     &detail::ScalarDot,
@@ -79,6 +113,9 @@ constexpr KernelTable kScalarTable = {
     &detail::ScalarGatherDot,
     &ScalarReplicateDot,
     &ScalarReplicateDotPair,
+    &ScalarMatVecRows,
+    &ScalarVecMatRows,
+    &ScalarEdgeScan,
 };
 
 // ---------------------------------------------------------------------------
@@ -182,6 +219,22 @@ void ReplicateDotPair(const double* row, size_t blocks, size_t m,
                       const double* cand, const double* seed, double* seeded,
                       double* plain) {
   g_table->replicate_dot_pair(row, blocks, m, cand, seed, seeded, plain);
+}
+
+void MatVecRows(const double* mat, size_t rows, size_t n,
+                const double* const* v, double* const* out, size_t nv) {
+  PRISTE_DCHECK(nv == 1 || nv == 2);
+  g_table->mat_vec_rows(mat, rows, n, v, out, nv);
+}
+
+void VecMatRows(const double* p, size_t rows, size_t n, const double* mat,
+                double* out) {
+  g_table->vec_mat_rows(p, rows, n, mat, out);
+}
+
+size_t EdgeScan(const double* a, const double* d, const double* l, size_t i,
+                size_t begin, size_t end, double best) {
+  return g_table->edge_scan(a, d, l, i, begin, end, best);
 }
 
 bool SimdActive() { return g_table != &kScalarTable; }

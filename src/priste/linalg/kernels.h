@@ -221,6 +221,73 @@ PRISTE_HOT_PATH void ReplicateDotPair(const double* row, size_t blocks,
                                       const double* seed, double* seeded,
                                       double* plain);
 
+/// Dense row-major matrix times one or two vectors:
+///   out[k][r] = Dot(mat + r·n, v[k], n)   for r < rows, k < nv, nv ∈ {1, 2}.
+/// Every output is bit-identical to that Dot call — same four-lane blocking,
+/// same ReduceLanes order, same sequential tail — on both paths.
+///
+/// Why interleave outputs instead of adding accumulators: the contract fixes
+/// ONE four-lane accumulator per output, so a single Dot over a 256-long row
+/// is a chain of 64 dependent vector adds and runs at add latency, not
+/// throughput. A row-by-row sweep runs those chains one after another. The
+/// AVX2 path instead advances four rows (× nv vectors) in lockstep: 4·nv
+/// independent chains share each load of v, which fills the adder pipeline
+/// without changing any output's operation sequence. Rows past the last
+/// full block of four take the plain Dot. Always dispatched (one call covers
+/// a whole matrix). `out[k]` must not overlap `mat` or any `v`.
+PRISTE_HOT_PATH void MatVecRows(const double* mat, size_t rows, size_t n,
+                                const double* const* v, double* const* out,
+                                size_t nv);
+
+/// Row vector times dense row-major matrix:
+///   out[c] = Σ_{r ascending, p[r] ≠ 0} p[r]·mat[r·n + c], summed from 0.0.
+/// Bit-identical to zeroing `out` and running Axpy(p[r], row r, out, n) for
+/// each nonzero p[r] in ascending r — the scalar path is exactly that loop.
+/// The AVX2 path holds 16 output columns in registers across all rows
+/// (outputs-outer), so `out` is written once instead of read-modified-written
+/// once per row; each column still sees its adds in ascending r. `out` must
+/// not overlap `p` or `mat`.
+PRISTE_HOT_PATH void VecMatRows(const double* p, size_t rows, size_t n,
+                                const double* mat, double* out);
+
+/// The bilinear objective f(π) = (π·a)(π·d) + π·l restricted to the simplex
+/// edge π = λe_i + (1−λ)e_j is a quadratic in λ. Returns true when the edge
+/// is concave (curvature < 0) and its stationary point λ* lies in (0, 1),
+/// and then stores λ* and f there. The one definition of the per-edge
+/// arithmetic: EdgeScan's scalar and AVX2 paths and QpSolver::Maximize all
+/// evaluate exactly this operation sequence.
+PRISTE_HOT_PATH inline bool ConcaveEdgeInterior(const double* a,
+                                                const double* d,
+                                                const double* l, size_t i,
+                                                size_t j, double* lambda,
+                                                double* value) {
+  const double da = a[i] - a[j];
+  const double dd = d[i] - d[j];
+  const double curvature = da * dd;
+  const double slope = a[j] * dd + d[j] * da + (l[i] - l[j]);
+  // With curvature < 0, λ* = −slope/(2·curvature) ∈ (0, 1) is
+  // 0 < slope < −2·curvature, tested before the division.
+  if (!(curvature < 0.0 && slope > 0.0 && slope < -2.0 * curvature)) {
+    return false;
+  }
+  const double lam = -slope / (2.0 * curvature);
+  const double mu = 1.0 - lam;
+  *lambda = lam;
+  *value = (lam * a[i] + mu * a[j]) * (lam * d[i] + mu * d[j]) +
+           (lam * l[i] + mu * l[j]);
+  return true;
+}
+
+/// The QP edge scan: for a fixed i, finds the first block of four edges
+/// j ∈ [begin + 4q, begin + 4q + 4) ∩ [begin, end) holding some j with
+/// ConcaveEdgeInterior(a, d, l, i, j) true and value > best, and returns
+/// that block's first index (`end` when no edge qualifies). Both paths
+/// evaluate every edge with ConcaveEdgeInterior's operation sequence (the
+/// AVX2 path four edges per step, no FMA), so they return the same index.
+PRISTE_HOT_PATH size_t EdgeScan(const double* a, const double* d,
+                                const double* l, size_t i, size_t begin,
+                                size_t end, double best);
+
 /// True when the active dispatch table is the AVX2 one.
 bool SimdActive();
 

@@ -21,6 +21,11 @@ struct KernelTable {
   double (*replicate_dot)(const double*, size_t, size_t, const double*);
   void (*replicate_dot_pair)(const double*, size_t, size_t, const double*,
                              const double*, double*, double*);
+  void (*mat_vec_rows)(const double*, size_t, size_t, const double* const*,
+                       double* const*, size_t);
+  void (*vec_mat_rows)(const double*, size_t, size_t, const double*, double*);
+  size_t (*edge_scan)(const double*, const double*, const double*, size_t,
+                      size_t, size_t, double);
 };
 
 #if defined(PRISTE_KERNELS_HAVE_AVX2)

@@ -1,7 +1,6 @@
 #include "priste/markov/transition_matrix.h"
 
 #include <cmath>
-#include <cstring>
 
 #include "priste/common/strings.h"
 #include "priste/linalg/kernels.h"
@@ -77,12 +76,7 @@ void TransitionMatrix::PropagateSpan(const double* p, double* out) const {
     return;
   }
   const size_t m = num_states();
-  std::memset(out, 0, m * sizeof(double));
-  for (size_t r = 0; r < m; ++r) {
-    const double scale = p[r];
-    if (scale == 0.0) continue;
-    linalg::kernels::Axpy(scale, matrix_.RowPtr(r), out, m);
-  }
+  linalg::kernels::VecMatRows(p, m, m, matrix_.RowPtr(0), out);
 }
 
 void TransitionMatrix::BackwardSpan(const double* v, double* out) const {
@@ -91,9 +85,20 @@ void TransitionMatrix::BackwardSpan(const double* v, double* out) const {
     return;
   }
   const size_t m = num_states();
-  for (size_t r = 0; r < m; ++r) {
-    out[r] = linalg::kernels::Dot(matrix_.RowPtr(r), v, m);
+  linalg::kernels::MatVecRows(matrix_.RowPtr(0), m, m, &v, &out, 1);
+}
+
+void TransitionMatrix::BackwardSpanPair(const double* v0, const double* v1,
+                                        double* out0, double* out1) const {
+  if (sparse_ != nullptr) {
+    sparse_->MatVecSpan(v0, out0);
+    sparse_->MatVecSpan(v1, out1);
+    return;
   }
+  const size_t m = num_states();
+  const double* v[2] = {v0, v1};
+  double* out[2] = {out0, out1};
+  linalg::kernels::MatVecRows(matrix_.RowPtr(0), m, m, v, out, 2);
 }
 
 void TransitionMatrix::PropagateInto(const linalg::Vector& p,

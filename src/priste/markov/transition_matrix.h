@@ -77,6 +77,13 @@ class TransitionMatrix {
   void PropagateSpan(const double* p, double* out) const;
   void BackwardSpan(const double* v, double* out) const;
 
+  /// Two column products through one sweep of the matrix: out0 = M·v0 and
+  /// out1 = M·v1, each bit-identical to its own BackwardSpan. The dense path
+  /// shares every row load between the two products. Outputs must not alias
+  /// any input or each other.
+  void BackwardSpanPair(const double* v0, const double* v1, double* out0,
+                        double* out1) const;
+
   /// k Markov steps.
   linalg::Vector PropagateSteps(const linalg::Vector& p, int steps) const;
 

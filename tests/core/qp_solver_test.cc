@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "priste/common/random.h"
+#include "priste/linalg/kernels.h"
 
 namespace priste::core {
 namespace {
@@ -313,6 +314,138 @@ TEST(QpSolverTest, RefusesObjectivesTheHeuristicFalselyCertified) {
     // The witness is a genuine prior with a positive condition value.
     ExpectFeasible(result.argmax);
     EXPECT_GT(obj.Evaluate(result.argmax), 0.0) << result.argmax.ToString();
+  }
+}
+
+// --- Exactness of the vectorized edge scan. ---
+
+// The one-edge-at-a-time enumeration Maximize ran before EdgeScan, kept
+// verbatim as the reference: same support compaction, same vertex pass, same
+// per-edge arithmetic and strict `>` updates in lexicographic (i, j) order.
+QpSolver::Result ReferenceMaximize(const QpSolver::Objective& objective) {
+  const size_t n = objective.a.size();
+  std::vector<size_t> index;
+  std::vector<double> a, d, l;
+  bool have_slack = false;
+  for (size_t i = 0; i < n; ++i) {
+    const bool live = objective.a[i] != 0.0 || objective.d[i] != 0.0 ||
+                      objective.l[i] != 0.0;
+    if (!live && have_slack) continue;
+    have_slack = have_slack || !live;
+    index.push_back(i);
+    a.push_back(objective.a[i]);
+    d.push_back(objective.d[i]);
+    l.push_back(objective.l[i]);
+  }
+  const size_t k = index.size();
+  size_t best_i = 0;
+  size_t best_j = 0;
+  double best_lambda = 1.0;
+  double best = a[0] * d[0] + l[0];
+  for (size_t i = 1; i < k; ++i) {
+    const double v = a[i] * d[i] + l[i];
+    if (v > best) {
+      best = v;
+      best_i = best_j = i;
+    }
+  }
+  for (size_t i = 0; i + 1 < k; ++i) {
+    for (size_t j = i + 1; j < k; ++j) {
+      const double da = a[i] - a[j];
+      const double dd = d[i] - d[j];
+      const double curvature = da * dd;
+      const double slope = a[j] * dd + d[j] * da + (l[i] - l[j]);
+      if (!(curvature < 0.0 && slope > 0.0 && slope < -2.0 * curvature)) {
+        continue;
+      }
+      const double lambda = -slope / (2.0 * curvature);
+      const double mu = 1.0 - lambda;
+      const double v = (lambda * a[i] + mu * a[j]) * (lambda * d[i] + mu * d[j]) +
+                       (lambda * l[i] + mu * l[j]);
+      if (v > best) {
+        best = v;
+        best_i = i;
+        best_j = j;
+        best_lambda = lambda;
+      }
+    }
+  }
+  QpSolver::Result result;
+  result.max_value = best;
+  result.argmax = linalg::Vector(n);
+  result.argmax[index[best_i]] = best_lambda;
+  if (best_j != best_i) result.argmax[index[best_j]] = 1.0 - best_lambda;
+  return result;
+}
+
+// Maximize on both kernel paths must equal the reference bit for bit: the
+// value, and the argmax (which pins the tie rule).
+void ExpectMatchesReference(const QpSolver::Objective& obj,
+                            const std::string& label) {
+  const QpSolver::Result want = ReferenceMaximize(obj);
+  for (const bool simd : {false, true}) {
+    const bool previous = linalg::kernels::SetSimdEnabledForTest(simd);
+    const QpSolver::Result got = QpSolver().Maximize(obj, Deadline::Infinite());
+    linalg::kernels::SetSimdEnabledForTest(previous);
+    EXPECT_FALSE(got.timed_out);
+    EXPECT_EQ(got.max_value, want.max_value) << label << " simd=" << simd;
+    ASSERT_EQ(got.argmax.size(), want.argmax.size());
+    for (size_t i = 0; i < want.argmax.size(); ++i) {
+      EXPECT_EQ(got.argmax[i], want.argmax[i])
+          << label << " simd=" << simd << " coordinate " << i;
+    }
+  }
+}
+
+constexpr size_t kExactSizes[] = {1, 2, 3, 4, 5, 7, 64, 257};
+
+TEST(QpSolverTest, RandomObjectivesMatchTheScalarEnumerationExactly) {
+  Rng rng(2024);
+  for (const size_t n : kExactSizes) {
+    for (int rep = 0; rep < 6; ++rep) {
+      QpSolver::Objective obj;
+      obj.a = RandomVec(n, rng, 0.0, 1.0);
+      obj.d = RandomVec(n, rng);
+      obj.l = RandomVec(n, rng);
+      // Some draws get off-support coordinates (zero in a, d and l).
+      if (rep % 2 == 1) {
+        for (size_t i = 0; i < n; i += 3) obj.a[i] = obj.d[i] = obj.l[i] = 0.0;
+      }
+      ExpectMatchesReference(obj, "n=" + std::to_string(n) +
+                                      " rep=" + std::to_string(rep));
+    }
+  }
+}
+
+TEST(QpSolverTest, TieHeavyObjectivesMatchTheScalarEnumerationExactly) {
+  // Coordinates drawn from a handful of values: many coordinates are exact
+  // duplicates, so equal edge values recur across (i, j) and only the
+  // earliest may win.
+  Rng rng(77);
+  const double kValues[] = {-1.0, -0.5, 0.0, 0.25, 0.5, 1.0};
+  const auto pick = [&]() { return kValues[rng.NextBelow(6)]; };
+  for (const size_t n : kExactSizes) {
+    for (int rep = 0; rep < 6; ++rep) {
+      QpSolver::Objective obj;
+      obj.a = linalg::Vector(n);
+      obj.d = linalg::Vector(n);
+      obj.l = linalg::Vector(n);
+      for (size_t i = 0; i < n; ++i) {
+        obj.a[i] = pick();
+        obj.d[i] = pick();
+        obj.l[i] = rep % 3 == 0 ? 0.0 : pick();
+      }
+      // Whole repeated coordinate patterns: edge (i, j) and (i, j + p) tie.
+      if (rep % 2 == 1 && n > 4) {
+        for (size_t i = 4; i < n; ++i) {
+          obj.a[i] = obj.a[i % 4];
+          obj.d[i] = obj.d[i % 4];
+          obj.l[i] = obj.l[i % 4];
+        }
+      }
+      ExpectMatchesReference(obj, "ties n=" + std::to_string(n) +
+                                      " rep=" + std::to_string(rep));
+    }
   }
 }
 

@@ -2,13 +2,16 @@
 
 #include "priste/core/two_world.h"
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "priste/core/automaton_world.h"
 #include "priste/core/joint.h"
 #include "priste/core/prior.h"
 #include "priste/event/pattern.h"
@@ -288,6 +291,169 @@ TEST(QuantifierTest, WorstPiIsReportedForViolations) {
       PrivacyQuantifier::Condition15(v, check.worst_pi, 0.05),
       PrivacyQuantifier::Condition16(v, check.worst_pi, 0.05));
   EXPECT_GT(worst, 0.0);
+}
+
+// --- Chain equivalence: ComputeVectors against per-world column steps. ---
+
+using ColumnStep =
+    std::function<void(const linalg::Vector& v, int t, linalg::Vector& out)>;
+
+// The two-world column step with one BackwardSpan per world — the form
+// before both worlds shared one paired sweep of the base matrix.
+void PerWorldTwoWorldStep(const TwoWorldModel& model, const linalg::Vector& v,
+                          int t, linalg::Vector& out) {
+  const size_t m = model.num_states();
+  const markov::TransitionMatrix& base = model.schedule().AtStep(t);
+  const event::SpatiotemporalEvent& ev = model.event();
+  const double* vf = v.data();
+  const double* vt = v.data() + m;
+  double* of = out.data();
+  double* ot = out.data() + m;
+  if (t < std::max(ev.start() - 1, 1) || t > ev.end() - 1) {
+    base.BackwardSpan(vf, of);
+    base.BackwardSpan(vt, ot);
+    return;
+  }
+  const linalg::Vector d = ev.RegionAt(t + 1).Indicator();
+  std::vector<double> mix(m);
+  for (size_t i = 0; i < m; ++i) mix[i] = (1.0 - d[i]) * vf[i] + d[i] * vt[i];
+  if (ev.kind() == event::SpatiotemporalEvent::Kind::kPresence ||
+      t == ev.start() - 1) {
+    base.BackwardSpan(mix.data(), of);
+    base.BackwardSpan(vt, ot);
+  } else {
+    base.BackwardSpan(vf, of);
+    base.BackwardSpan(mix.data(), ot);
+  }
+}
+
+// The automaton column step, one BackwardSpan per automaton state.
+// `base` is the model's (homogeneous) chain.
+void PerStateAutomatonStep(const AutomatonWorldModel& model,
+                           const markov::TransitionMatrix& base,
+                           const linalg::Vector& v, int t,
+                           linalg::Vector& out) {
+  const size_t m = model.num_states();
+  const event::EventAutomaton& automaton = model.automaton();
+  const int tau = t + 1;
+  const bool in_window = tau >= automaton.start() && tau <= automaton.end();
+  std::vector<double> z(m);
+  for (int q = 0; q < automaton.num_automaton_states(); ++q) {
+    for (size_t sp = 0; sp < m; ++sp) {
+      const int next =
+          in_window ? automaton.Next(q, tau, static_cast<int>(sp)) : q;
+      z[sp] = v[static_cast<size_t>(next) * m + sp];
+    }
+    base.BackwardSpan(z.data(), out.data() + static_cast<size_t>(q) * m);
+  }
+}
+
+// The Lemma III.2/III.3 chain of ComputeVectors, written out with `step` as
+// the column step and the default max-norm emission normalization.
+TheoremVectors ReferenceVectors(const LiftedEventModel& model,
+                                const ColumnStep& step,
+                                const std::vector<linalg::Vector>& emissions) {
+  const int t = static_cast<int>(emissions.size());
+  const int end = model.event_end();
+  const auto apply = [&](linalg::Vector& v, int i) {
+    model.ApplyEmissionInPlace(emissions[static_cast<size_t>(i - 1)], v);
+    const double inv = 1.0 / emissions[static_cast<size_t>(i - 1)].MaxAbs();
+    if (inv != 1.0) v.ScaleInPlace(inv);
+  };
+  linalg::Vector nxt(model.lifted_size());
+  const auto prefix = [&](linalg::Vector cur, int last) {
+    for (int i = last; i >= 1; --i) {
+      apply(cur, i);
+      if (i > 1) {
+        step(cur, i - 1, nxt);
+        std::swap(cur, nxt);
+      }
+    }
+    return model.ContractColumn(cur);
+  };
+  TheoremVectors out;
+  out.t = t;
+  out.a_bar = model.PriorContraction();
+  if (t <= end) {
+    out.b_bar = prefix(model.SuffixTrue(t), t);
+    out.c_bar = prefix(linalg::Vector::Ones(model.lifted_size()), t);
+  } else {
+    linalg::Vector beta = linalg::Vector::Ones(model.lifted_size());
+    for (int tau = t - 1; tau >= end; --tau) {
+      apply(beta, tau + 1);
+      step(beta, tau, nxt);
+      std::swap(beta, nxt);
+    }
+    out.b_bar = prefix(beta.Hadamard(model.AcceptingMask()), end);
+    out.c_bar = prefix(beta, end);
+  }
+  return out;
+}
+
+void ExpectSameBits(const linalg::Vector& got, const linalg::Vector& want,
+                    const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << label << " entry " << i;
+  }
+}
+
+// Runs ComputeVectors and the reference over every prefix t = 1..end+3, so
+// the during-event regime, t = end and the after-event regime all appear.
+void ExpectChainMatchesReference(const LiftedEventModel& model,
+                                 const ColumnStep& step, Rng& rng,
+                                 const std::string& label) {
+  const PrivacyQuantifier quantifier(&model);
+  std::vector<linalg::Vector> emissions;
+  for (int t = 1; t <= model.event_end() + 3; ++t) {
+    emissions.push_back(testing::RandomEmissionColumn(model.num_states(), rng));
+    const TheoremVectors got = quantifier.ComputeVectors(emissions);
+    const TheoremVectors want = ReferenceVectors(model, step, emissions);
+    const std::string where = label + " t=" + std::to_string(t);
+    ExpectSameBits(got.a_bar, want.a_bar, where + " a_bar");
+    ExpectSameBits(got.b_bar, want.b_bar, where + " b_bar");
+    ExpectSameBits(got.c_bar, want.c_bar, where + " c_bar");
+  }
+}
+
+TEST(QuantifierTest, ComputeVectorsEqualsPerWorldChainExactly) {
+  Rng rng(909);
+  // m = 18 leaves a row tail and a lane tail in every dense product; the
+  // ring walk carries a CSR view.
+  const size_t m = 18;
+  for (const bool csr : {false, true}) {
+    const markov::TransitionMatrix chain =
+        csr ? RingWalk(m, true, rng) : testing::RandomTransition(m, rng);
+    ASSERT_EQ(chain.has_sparse(), csr);
+    std::vector<geo::Region> regions;
+    for (int i = 0; i < 3; ++i) regions.push_back(testing::RandomRegion(m, rng));
+    const std::vector<std::pair<std::string, event::EventPtr>> events = {
+        {"presence", std::make_shared<PresenceEvent>(regions, 3)},
+        {"pattern", std::make_shared<PatternEvent>(regions, 2)},
+        {"presence@1", std::make_shared<PresenceEvent>(regions, 1)},
+        {"pattern@1", std::make_shared<PatternEvent>(regions, 1)},
+    };
+    for (const auto& [name, ev] : events) {
+      const TwoWorldModel model(chain, ev);
+      ExpectChainMatchesReference(
+          model,
+          [&](const linalg::Vector& v, int t, linalg::Vector& out) {
+            PerWorldTwoWorldStep(model, v, t, out);
+          },
+          rng, name + (csr ? " csr" : " dense"));
+    }
+    const auto automaton = AutomatonWorldModel::Create(
+        markov::TransitionSchedule::Homogeneous(chain),
+        *events[1].second->ToBooleanExpr());
+    ASSERT_TRUE(automaton.ok()) << automaton.status();
+    const AutomatonWorldModel& model = **automaton;
+    ExpectChainMatchesReference(
+        model,
+        [&](const linalg::Vector& v, int t, linalg::Vector& out) {
+          PerStateAutomatonStep(model, chain, v, t, out);
+        },
+        rng, std::string("automaton") + (csr ? " csr" : " dense"));
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "priste/core/priste_delta_loc.h"
 #include "priste/core/priste_geo_ind.h"
 #include "priste/event/presence.h"
 #include "priste/geo/gaussian_grid_model.h"
@@ -24,22 +25,30 @@ struct RunRecord {
   std::vector<int> halvings;
 };
 
-RunRecord RunPipeline(bool simd) {
+// A side×side geo-ind run (delta < 0) or a δ-location-set run. At side 4
+// the m = 16 row blocks of the interleaved kernels have no tail; side 5
+// (m = 25) leaves one row and one lane tail in every dense product.
+RunRecord RunPipeline(bool simd, int side, double delta) {
   const bool previous = linalg::kernels::SetSimdEnabledForTest(simd);
-  const geo::Grid grid(4, 4, 1.0);
+  const geo::Grid grid(side, side, 1.0);
   const geo::GaussianGridModel model(grid, 1.0);
+  const size_t m = grid.num_cells();
   const auto ev = std::make_shared<event::PresenceEvent>(
-      geo::Region(grid.num_cells(), {0, 1, 4, 5}), /*start=*/3, /*end=*/4);
+      geo::Region(m, {0, 1, side, side + 1}),
+      /*start=*/3, /*end=*/4);
   PristeOptions options;
   options.epsilon = 0.5;
   options.initial_alpha = 0.4;
   options.qp_threshold_seconds = 5.0;
-  const PristeGeoInd priste(grid, model.transition(), {ev}, options);
   Rng rng(21);
-  const markov::MarkovChain chain(model.transition(),
-                                  linalg::Vector::UniformProbability(16));
+  const linalg::Vector pi = linalg::Vector::UniformProbability(m);
+  const markov::MarkovChain chain(model.transition(), pi);
   const geo::Trajectory truth(chain.Sample(6, rng));
-  const auto result = priste.Run(truth, rng);
+  const auto result =
+      delta < 0.0
+          ? PristeGeoInd(grid, model.transition(), {ev}, options).Run(truth, rng)
+          : PristeDeltaLoc(grid, model.transition(), {ev}, delta, pi, options)
+                .Run(truth, rng);
   linalg::kernels::SetSimdEnabledForTest(previous);
   EXPECT_TRUE(result.ok()) << result.status();
   RunRecord record;
@@ -52,15 +61,28 @@ RunRecord RunPipeline(bool simd) {
   return record;
 }
 
-TEST(SimdBitIdentityTest, FullPristeGeoIndRunIsBitIdenticalAcrossPaths) {
-  const RunRecord scalar = RunPipeline(/*simd=*/false);
-  const RunRecord simd = RunPipeline(/*simd=*/true);
+void ExpectIdenticalAcrossPaths(int side, double delta) {
+  const RunRecord scalar = RunPipeline(/*simd=*/false, side, delta);
+  const RunRecord simd = RunPipeline(/*simd=*/true, side, delta);
   ASSERT_EQ(scalar.cells.size(), simd.cells.size());
+  ASSERT_FALSE(scalar.cells.empty());
   // Exact equality on the doubles, not a tolerance: equal bits in, equal
   // decisions and equal bits out is precisely the kernels' guarantee.
   EXPECT_EQ(scalar.cells, simd.cells);
   EXPECT_EQ(scalar.alphas, simd.alphas);
   EXPECT_EQ(scalar.halvings, simd.halvings);
+}
+
+TEST(SimdBitIdentityTest, FullPristeGeoIndRunIsBitIdenticalAcrossPaths) {
+  ExpectIdenticalAcrossPaths(/*side=*/4, /*delta=*/-1.0);
+}
+
+TEST(SimdBitIdentityTest, GeoIndRunWithKernelTailsIsBitIdenticalAcrossPaths) {
+  ExpectIdenticalAcrossPaths(/*side=*/5, /*delta=*/-1.0);
+}
+
+TEST(SimdBitIdentityTest, PristeDeltaLocRunIsBitIdenticalAcrossPaths) {
+  ExpectIdenticalAcrossPaths(/*side=*/5, /*delta=*/0.2);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "priste/common/random.h"
@@ -162,6 +163,127 @@ TEST(KernelsTest, ReplicateKernelsAreBitIdenticalAcrossPaths) {
                        &seeded_v, &pair_plain_v);
       EXPECT_EQ(seeded_v, seeded_s);
       EXPECT_EQ(pair_plain_v, pair_plain_s);
+    }
+  }
+}
+
+// The per-row loops MatVecRows and VecMatRows replace: one Dot per (row,
+// vector), and a zeroed output plus one Axpy per nonzero p[r].
+std::vector<double> ReferenceMatVec(const std::vector<double>& mat,
+                                    size_t rows, size_t n,
+                                    const std::vector<double>& v) {
+  std::vector<double> out(rows);
+  for (size_t r = 0; r < rows; ++r) out[r] = Dot(mat.data() + r * n, v.data(), n);
+  return out;
+}
+
+std::vector<double> ReferenceVecMat(const std::vector<double>& p, size_t rows,
+                                    size_t n, const std::vector<double>& mat) {
+  std::vector<double> out(n, 0.0);
+  for (size_t r = 0; r < rows; ++r) {
+    if (p[r] == 0.0) continue;
+    Axpy(p[r], mat.data() + r * n, out.data(), n);
+  }
+  return out;
+}
+
+// Sizes cover row blocks of four with and without a tail, four-lane blocks
+// with and without a tail, the 16-wide inline threshold and the grid sizes.
+constexpr size_t kDenseSizes[] = {1, 3, 4, 5, 7, 16, 17, 64, 255, 256};
+
+TEST(KernelsTest, MatVecRowsEqualsPerRowDotOnBothPaths) {
+  Rng rng(99);
+  for (const size_t rows : kDenseSizes) {
+    for (const size_t n : kDenseSizes) {
+      const std::vector<double> mat = RandomSpan(rows * n, rng);
+      const std::vector<double> v0 = RandomSpan(n, rng);
+      const std::vector<double> v1 = RandomSpan(n, rng);
+      for (const bool simd : {false, true}) {
+        ScopedSimd path(simd);
+        const std::vector<double> want0 = ReferenceMatVec(mat, rows, n, v0);
+        const std::vector<double> want1 = ReferenceMatVec(mat, rows, n, v1);
+        std::vector<double> got0(rows, -1.0), got1(rows, -1.0);
+        const double* one_v[] = {v0.data()};
+        double* one_out[] = {got0.data()};
+        MatVecRows(mat.data(), rows, n, one_v, one_out, 1);
+        EXPECT_EQ(got0, want0) << "nv=1 rows=" << rows << " n=" << n
+                               << " simd=" << simd;
+        std::fill(got0.begin(), got0.end(), -1.0);
+        const double* two_v[] = {v0.data(), v1.data()};
+        double* two_out[] = {got0.data(), got1.data()};
+        MatVecRows(mat.data(), rows, n, two_v, two_out, 2);
+        EXPECT_EQ(got0, want0) << "nv=2 rows=" << rows << " n=" << n
+                               << " simd=" << simd;
+        EXPECT_EQ(got1, want1) << "nv=2 rows=" << rows << " n=" << n
+                               << " simd=" << simd;
+      }
+    }
+  }
+}
+
+TEST(KernelsTest, VecMatRowsEqualsPerRowAxpyOnBothPaths) {
+  Rng rng(77);
+  for (const size_t rows : kDenseSizes) {
+    for (const size_t n : kDenseSizes) {
+      const std::vector<double> mat = RandomSpan(rows * n, rng);
+      std::vector<double> p = RandomSpan(rows, rng);
+      // Zeros (both signs) exercise the skip; every third row also leaves
+      // row groups partially filled.
+      for (size_t r = 0; r < rows; r += 3) p[r] = r % 2 == 0 ? 0.0 : -0.0;
+      for (const bool simd : {false, true}) {
+        ScopedSimd path(simd);
+        const std::vector<double> want = ReferenceVecMat(p, rows, n, mat);
+        std::vector<double> got(n, -1.0);
+        VecMatRows(p.data(), rows, n, mat.data(), got.data());
+        EXPECT_EQ(got, want) << "rows=" << rows << " n=" << n
+                             << " simd=" << simd;
+      }
+    }
+  }
+  // An all-zero p leaves an all-zero output.
+  const std::vector<double> mat(5 * 6, 1.0);
+  const std::vector<double> p(5, 0.0);
+  std::vector<double> out(6, 7.0);
+  VecMatRows(p.data(), 5, 6, mat.data(), out.data());
+  EXPECT_EQ(out, std::vector<double>(6, 0.0));
+}
+
+// The first index in [begin, end) at which the scalar QP loop would improve
+// on `best`, rounded down to its block of four (end when none).
+size_t ReferenceEdgeScan(const std::vector<double>& a,
+                         const std::vector<double>& d,
+                         const std::vector<double>& l, size_t i, size_t begin,
+                         size_t end, double best) {
+  for (size_t j = begin; j < end; ++j) {
+    double lambda, value;
+    if (ConcaveEdgeInterior(a.data(), d.data(), l.data(), i, j, &lambda,
+                            &value) &&
+        value > best) {
+      return begin + (j - begin) / 4 * 4;
+    }
+  }
+  return end;
+}
+
+TEST(KernelsTest, EdgeScanFindsTheFirstImprovingBlockOnBothPaths) {
+  Rng rng(5);
+  for (const size_t n : {2ul, 3ul, 5ul, 8ul, 9ul, 33ul, 100ul}) {
+    const std::vector<double> a = RandomSpan(n, rng);
+    const std::vector<double> d = RandomSpan(n, rng);
+    const std::vector<double> l = RandomSpan(n, rng);
+    for (size_t i = 0; i + 1 < n; ++i) {
+      for (const double best : {-2.0, 0.0, 0.2, 0.5, 1e300}) {
+        for (size_t begin = i + 1; begin < n; begin += 3) {
+          const size_t want = ReferenceEdgeScan(a, d, l, i, begin, n, best);
+          for (const bool simd : {false, true}) {
+            ScopedSimd path(simd);
+            EXPECT_EQ(EdgeScan(a.data(), d.data(), l.data(), i, begin, n, best),
+                      want)
+                << "n=" << n << " i=" << i << " begin=" << begin
+                << " best=" << best << " simd=" << simd;
+          }
+        }
+      }
     }
   }
 }
