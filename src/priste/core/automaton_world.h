@@ -40,6 +40,9 @@ class AutomatonWorldModel : public LiftedEventModel {
   }
   int event_start() const override { return automaton_.start(); }
   int event_end() const override { return automaton_.end(); }
+  const markov::TransitionSchedule& schedule() const override {
+    return schedule_;
+  }
 
   const event::EventAutomaton& automaton() const { return automaton_; }
 

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "priste/linalg/vector.h"
+#include "priste/markov/schedule.h"
 
 namespace priste::core {
 
@@ -20,6 +21,14 @@ namespace priste::core {
 /// states × m map states; timestamps are 1-based; step t connects time t to
 /// t+1; the accepting mask marks lifted states where the event is true once
 /// the window [event_start, event_end] has been fully consumed.
+///
+/// Invariant past the window: every step t >= event_end() acts as I_k ⊗ M_t
+/// with M_t = schedule().AtStep(t), and every emission as I_k ⊗ D — the k
+/// event blocks evolve independently through the base chain. Implementations
+/// must make StepColumnInto / StepRowSpanInto at such t equal, block by
+/// block and bit for bit, the base BackwardSpan / PropagateSpan of that
+/// block (tested per model). The Eqs. (19)/(20) backward chain and the
+/// release engine's single row family past the window rely on it.
 class LiftedEventModel {
  public:
   virtual ~LiftedEventModel() = default;
@@ -32,6 +41,9 @@ class LiftedEventModel {
 
   virtual int event_start() const = 0;
   virtual int event_end() const = 0;
+
+  /// The base m-state chain the lifted steps are built from.
+  virtual const markov::TransitionSchedule& schedule() const = 0;
 
   /// Lifts an initial distribution π over map states into the lifted space
   /// (handles events whose window starts at time 1 by consuming that step).

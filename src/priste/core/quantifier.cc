@@ -1,5 +1,6 @@
 #include "priste/core/quantifier.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -30,8 +31,8 @@ TheoremVectors ComputeVectorsImpl(const LiftedEventModel& model,
     }
   }
 
-  // Two ping-pong work vectors shared by every chain below — the only lifted
-  // allocations in this call, reused across all timesteps.
+  // Two ping-pong work vectors shared by the lifted prefix chains below,
+  // reused across all timesteps.
   linalg::Vector cur(model.lifted_size());
   linalg::Vector nxt(model.lifted_size());
 
@@ -65,15 +66,23 @@ TheoremVectors ComputeVectorsImpl(const LiftedEventModel& model,
     out.c_bar = model.ContractColumn(cur);
   } else {
     // Eqs. (19)/(20): backward vector β over o_{end+1}..o_t, then the
-    // during-event prefix up to `end`.
-    linalg::Vector beta = linalg::Vector::Ones(model.lifted_size());
+    // during-event prefix up to `end`. Every step τ >= end acts as I_k ⊗ M_τ
+    // and every emission as I_k ⊗ D, so β = [γ; …; γ] with γ the m-state
+    // backward chain: run it once, then replicate it into the k blocks.
+    const markov::TransitionSchedule& schedule = model.schedule();
+    linalg::Vector gamma = linalg::Vector::Ones(m);
+    linalg::Vector gamma_next(m);
     for (int tau = t - 1; tau >= end; --tau) {
-      model.ApplyEmissionInPlace(emissions[static_cast<size_t>(tau)], beta);
+      gamma.HadamardInPlace(emissions[static_cast<size_t>(tau)]);
       if (inv_scale[static_cast<size_t>(tau)] != 1.0) {
-        beta.ScaleInPlace(inv_scale[static_cast<size_t>(tau)]);
+        gamma.ScaleInPlace(inv_scale[static_cast<size_t>(tau)]);
       }
-      model.StepColumnInto(beta, tau, nxt);
-      std::swap(beta, nxt);
+      schedule.AtStep(tau).BackwardSpan(gamma.data(), gamma_next.data());
+      std::swap(gamma, gamma_next);
+    }
+    linalg::Vector beta(model.lifted_size());
+    for (size_t q = 0; q < model.lifted_size(); q += m) {
+      std::copy(gamma.data(), gamma.data() + m, beta.data() + q);
     }
     linalg::Vector beta_true = beta.Hadamard(model.AcceptingMask());
     apply_prefix(beta_true, end);

@@ -66,33 +66,19 @@ double ReleaseStepContext::CandidateScale(const linalg::Vector& column) const {
   return 1.0 / scale;
 }
 
-void ReleaseStepContext::EnsureStepRows(ModelEngine& engine, bool need_masked) {
+void ReleaseStepContext::EnsureStepRows(ModelEngine& engine) {
   PRISTE_CHECK(t_ >= 1);
+  if (engine.step_rows_ready) return;
   const size_t lifted = engine.model->lifted_size();
-  if (!engine.step_rows_ready) {
-    if (engine.step_rows.rows() != support_.size() ||
-        engine.step_rows.cols() != lifted) {
-      engine.step_rows.Reset(support_.size(), lifted);
-    }
-    for (size_t i = 0; i < support_.size(); ++i) {
-      engine.model->StepRowSpanInto(engine.rows.Row(i), t_,
-                                    engine.step_rows.Row(i));
-    }
-    engine.step_rows_ready = true;
+  if (engine.step_rows.rows() != support_.size() ||
+      engine.step_rows.cols() != lifted) {
+    engine.step_rows.Reset(support_.size(), lifted);
   }
-  if (need_masked && !engine.step_rows_masked_ready) {
-    PRISTE_CHECK_MSG(!engine.rows_masked.empty(),
-                     "masked prefix rows requested before the event ended");
-    if (engine.step_rows_masked.rows() != support_.size() ||
-        engine.step_rows_masked.cols() != lifted) {
-      engine.step_rows_masked.Reset(support_.size(), lifted);
-    }
-    for (size_t i = 0; i < support_.size(); ++i) {
-      engine.model->StepRowSpanInto(engine.rows_masked.Row(i), t_,
-                                    engine.step_rows_masked.Row(i));
-    }
-    engine.step_rows_masked_ready = true;
+  for (size_t i = 0; i < support_.size(); ++i) {
+    engine.model->StepRowSpanInto(engine.rows.Row(i), t_,
+                                  engine.step_rows.Row(i));
   }
+  engine.step_rows_ready = true;
 }
 
 PRISTE_HOT_PATH TheoremVectors ReleaseStepContext::CachedVectors(
@@ -100,9 +86,7 @@ PRISTE_HOT_PATH TheoremVectors ReleaseStepContext::CachedVectors(
   const LiftedEventModel& model = *engine.model;
   const size_t m = model.num_states();
   const int t = t_ + 1;
-  const int end = model.event_end();
-  const bool during = t <= end;
-  EnsureStepRows(engine, !during);
+  EnsureStepRows(engine);
   const double s_c = CandidateScale(column);
 
   TheoremVectors out;
@@ -110,29 +94,23 @@ PRISTE_HOT_PATH TheoremVectors ReleaseStepContext::CachedVectors(
   out.a_bar = model.PriorContraction();
   out.b_bar = linalg::Vector(m);
   out.c_bar = linalg::Vector(m);
-  const linalg::Vector* seed = during ? &model.SuffixTrue(t) : nullptr;
-  const size_t lifted = model.lifted_size();
-  const size_t k = lifted / m;
+  // Past the window SuffixTrue(end) is the accepting mask: every later step
+  // is block-diagonal (I_k ⊗ M_t), so the accepting blocks of the one row
+  // family carry b̄ and the whole row c̄ (Eqs. 19/20).
+  const linalg::Vector& seed = model.SuffixTrue(std::min(t, model.event_end()));
+  const size_t k = model.lifted_size() / m;
 
   // Fused replicate-and-dot: the candidate is treated as replicated across
-  // the k event blocks without materializing the replication, and during the
-  // window ONE pass over each row yields both the suffix-seeded b̄ sum and
-  // the all-ones c̄ sum (Eq. 18). Past the window the accepting-masked family
-  // carries b̄, the unmasked family c̄ (Eqs. 19/20). Rows live in contiguous
-  // 64-byte-aligned RowBlock storage, so the kernels stream one flat buffer.
+  // the k event blocks without materializing the replication, and ONE pass
+  // over each row yields both the seeded b̄ sum and the all-ones c̄ sum
+  // (Eqs. 18–20). Rows live in contiguous 64-byte-aligned RowBlock storage,
+  // so the kernel streams one flat buffer.
   const double* cand = column.data();
   for (size_t i = 0; i < support_.size(); ++i) {
     double bsum;
     double csum;
-    if (during) {
-      linalg::kernels::ReplicateDotPair(engine.step_rows.Row(i), k, m, cand,
-                                        seed->data(), &bsum, &csum);
-    } else {
-      bsum = linalg::kernels::ReplicateDot(engine.step_rows_masked.Row(i), k,
-                                           m, cand);
-      csum = linalg::kernels::ReplicateDot(engine.step_rows.Row(i), k, m,
-                                           cand);
-    }
+    linalg::kernels::ReplicateDotPair(engine.step_rows.Row(i), k, m, cand,
+                                      seed.data(), &bsum, &csum);
     const double w = support_scale_[i] * s_c;
     out.b_bar[support_[i]] = w * bsum;
     out.c_bar[support_[i]] = w * csum;
@@ -291,20 +269,6 @@ void ReleaseStepContext::DecideMode(const linalg::Vector& first_column) {
     }
   }
   t_ = 1;
-  for (ModelEngine& engine : engines_) {
-    if (t_ == engine.model->event_end()) BuildMaskedRows(engine);
-  }
-}
-
-void ReleaseStepContext::BuildMaskedRows(ModelEngine& engine) {
-  const linalg::Vector& mask = engine.model->AcceptingMask();
-  const size_t lifted = engine.model->lifted_size();
-  engine.rows_masked.Reset(support_.size(), lifted);
-  for (size_t i = 0; i < support_.size(); ++i) {
-    linalg::kernels::HadamardInto(engine.rows.Row(i), mask.data(),
-                                  engine.rows_masked.Row(i), lifted);
-  }
-  engine.step_rows_masked_ready = false;
 }
 
 void ReleaseStepContext::Commit(const linalg::Vector& column) {
@@ -321,32 +285,21 @@ void ReleaseStepContext::Commit(const linalg::Vector& column) {
 
   const double s_c = CandidateScale(column);
   for (ModelEngine& engine : engines_) {
-    const bool has_masked = !engine.rows_masked.empty();
-    EnsureStepRows(engine, has_masked);
+    EnsureStepRows(engine);
     const size_t lifted = engine.model->lifted_size();
-    const auto extend = [&](double* step_row) {
+    for (size_t i = 0; i < support_.size(); ++i) {
+      double* step_row = engine.step_rows.Row(i);
       engine.model->ApplyEmissionSpanInPlace(column, step_row);
       if (s_c != 1.0) linalg::kernels::Scale(step_row, s_c, lifted);
       ++diagnostics_.prefix_extensions;
-    };
-    for (size_t i = 0; i < support_.size(); ++i) {
-      extend(engine.step_rows.Row(i));
-      if (has_masked) extend(engine.step_rows_masked.Row(i));
     }
     // Every support row was just extended in place inside step_rows, so the
     // commit is an O(1) whole-block swap; the retired `rows` storage becomes
     // the next step's step_rows scratch.
     swap(engine.rows, engine.step_rows);
-    if (has_masked) swap(engine.rows_masked, engine.step_rows_masked);
     engine.step_rows_ready = false;
-    engine.step_rows_masked_ready = false;
   }
   ++t_;
-  for (ModelEngine& engine : engines_) {
-    if (engine.rows_masked.empty() && t_ == engine.model->event_end()) {
-      BuildMaskedRows(engine);
-    }
-  }
 }
 
 TheoremVectors ReleaseStepContext::CandidateVectors(

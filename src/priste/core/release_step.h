@@ -35,10 +35,10 @@ struct ReleaseStepOptions {
   /// Dense-first-column incremental scheme: m dense lifted row chains
   /// r_i = Cᵀe_i · M₁D₂…M_{t−1}D_t — one per map state — extended once per
   /// *accepted* timestamp, so a candidate check costs O(m·lifted) instead of
-  /// a fresh O(t) chain. The m-row family costs one StepRow
-  /// sweep per accepted timestamp (per row family), which amortizes over
-  /// the run: with C candidate checks per step the scheme beats the cold
-  /// chain once the horizon T clears roughly 4m/C committed steps.
+  /// a fresh O(t) chain. The m-row family costs one StepRow sweep per
+  /// accepted timestamp, which amortizes over the run: with C candidate
+  /// checks per step the scheme beats the cold chain once the horizon T
+  /// clears roughly 4m/C committed steps.
   enum class DensePrefix {
     /// Engage when the horizon hint (SetHorizonHint; the drivers pass the
     /// trajectory length) satisfies T ≥ 2·m — the documented break-even
@@ -66,7 +66,7 @@ struct ReleaseStepDiagnostics {
   /// max_cache_support and the dense-prefix scheme declined.
   long dense_fallbacks = 0;
   /// Lifted row-extension steps applied at commits (per model, per support
-  /// cell).
+  /// cell; one row family, in and past the event window).
   long prefix_extensions = 0;
 };
 
@@ -99,9 +99,11 @@ struct ReleaseCheckOutcome {
 /// (the matrix R = Cᵀ·M₁D₂…, extended row-wise once per accepted timestamp)
 /// and evaluates candidates with the same fused replicate-and-dot kernels —
 /// O(m·lifted) per check, amortizing the m-row extension over long runs.
-/// Past the event window a second, accepting-masked row family yields b̄
-/// while the unmasked family yields c̄ (Eqs. 19/20). Numerical agreement
-/// with the cold chain is ≤ 1e-9 at every prefix for both schemes (tested).
+/// Past the event window the seed is the accepting mask: every later step is
+/// I_k ⊗ M_t (see LiftedEventModel), so the same rows' accepting blocks
+/// yield b̄ and the whole rows c̄ (Eqs. 19/20) — one row family throughout.
+/// Numerical agreement with the cold chain is ≤ 1e-9 at every prefix for
+/// both schemes (tested).
 ///
 /// Not thread-safe; create one per Run().
 class ReleaseStepContext {
@@ -156,19 +158,16 @@ class ReleaseStepContext {
     const LiftedEventModel* model;
     PrivacyQuantifier quantifier;
 
-    // Cached-mode state: one lifted row per support cell (u = r_s above),
-    // plus the accepting-masked family once the event window has been fully
-    // consumed — each family a single contiguous 64-byte-aligned RowBlock,
-    // so the fused replicate-and-dot kernels stream one flat buffer instead
-    // of chasing per-row heap vectors. step_rows holds StepRow(rows, t_) —
-    // computed once per release step, shared by all candidates, and recycled
-    // back into `rows` by Commit with an O(1) whole-block swap.
+    // Cached-mode state: one lifted row per support cell (u = r_s above) —
+    // the only row family, in and past the event window — in a single
+    // contiguous 64-byte-aligned RowBlock, so the fused replicate-and-dot
+    // kernel streams one flat buffer instead of chasing per-row heap
+    // vectors. step_rows holds StepRow(rows, t_) — computed once per release
+    // step, shared by all candidates, and recycled back into `rows` by
+    // Commit with an O(1) whole-block swap.
     linalg::RowBlock rows;
-    linalg::RowBlock rows_masked;
     linalg::RowBlock step_rows;
-    linalg::RowBlock step_rows_masked;
     bool step_rows_ready = false;
-    bool step_rows_masked_ready = false;
     // ContractColumn(ones), for the direct t = 1 formula (lazily built).
     linalg::Vector ones_contract;
     bool ones_contract_ready = false;
@@ -184,11 +183,10 @@ class ReleaseStepContext {
   }
 
   // Cached-path helpers (shared by the sparse and dense-prefix schemes).
-  void EnsureStepRows(ModelEngine& engine, bool need_masked);
+  void EnsureStepRows(ModelEngine& engine);
   TheoremVectors CachedVectors(ModelEngine& engine,
                                const linalg::Vector& column);
   void DecideMode(const linalg::Vector& first_column);
-  void BuildMaskedRows(ModelEngine& engine);
 
   double CandidateScale(const linalg::Vector& column) const;
 

@@ -57,7 +57,9 @@ class TwoWorldModel : public LiftedEventModel {
   int event_start() const override { return event_->start(); }
   int event_end() const override { return event_->end(); }
 
-  const markov::TransitionSchedule& schedule() const { return schedule_; }
+  const markov::TransitionSchedule& schedule() const override {
+    return schedule_;
+  }
   const event::SpatiotemporalEvent& event() const { return *event_; }
 
   /// Ref-counted view of a cached dense transition block. Holding the handle

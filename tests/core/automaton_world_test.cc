@@ -13,6 +13,7 @@
 #include "priste/event/enumeration.h"
 #include "priste/event/presence.h"
 #include "priste/geo/gaussian_grid_model.h"
+#include "testing/lifted_invariants.h"
 #include "testing/test_util.h"
 
 namespace priste::core {
@@ -202,6 +203,24 @@ TEST(AutomatonWorldTest, TimeVaryingScheduleMatchesEnumeration) {
     oracle += p;
   });
   EXPECT_NEAR(EventPrior(**model, pi), oracle, 1e-12) << expr->ToString();
+}
+
+TEST(AutomatonWorldTest, StepsPastTheWindowActBlockwiseOnTheBaseChain) {
+  // Past the window the automaton state is frozen, so every live slice steps
+  // through the base matrix on its own (and empty slices stay zero).
+  Rng rng(71);
+  const size_t m = 18;
+  for (const auto& [name, schedule] : testing::InvariantSchedules(m, rng)) {
+    const auto expr = event::BoolExpr::Or(
+        event::BoolExpr::Pred(2, 3),
+        event::BoolExpr::And(event::BoolExpr::Pred(3, 4),
+                             event::BoolExpr::Pred(4, 11)));
+    auto model = AutomatonWorldModel::Create(schedule, *expr);
+    ASSERT_TRUE(model.ok()) << model.status();
+    ASSERT_GT((*model)->lifted_size(), 2 * m);
+    SCOPED_TRACE(name);
+    testing::ExpectBlockDiagonalPastWindow(**model, rng);
+  }
 }
 
 }  // namespace

@@ -200,20 +200,6 @@ TEST(QuantifierTest, ArbitraryPriorCheckImpliesEveryFixedPrior) {
 
 // A sparse ring random walk (3 nonzeros per row) built twice: once with the
 // CSR fast path, once force-dense. Every quantifier output must match.
-markov::TransitionMatrix RingWalk(size_t m, bool allow_sparse, Rng& rng) {
-  linalg::Matrix t(m, m);
-  for (size_t s = 0; s < m; ++s) {
-    const double stay = 0.2 + 0.6 * rng.NextDouble();
-    const double left = (1.0 - stay) * rng.NextDouble();
-    t(s, s) = stay;
-    t(s, (s + m - 1) % m) = left;
-    t(s, (s + 1) % m) = 1.0 - stay - left;
-  }
-  auto result = markov::TransitionMatrix::Create(std::move(t), 1e-6, allow_sparse);
-  PRISTE_CHECK(result.ok());
-  return std::move(result).value();
-}
-
 class SparseDenseEquivalenceTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(SparseDenseEquivalenceTest, QuantifierOutputsMatch) {
@@ -224,8 +210,10 @@ TEST_P(SparseDenseEquivalenceTest, QuantifierOutputsMatch) {
   const size_t m = 18;  // ≥ kSparseMinStates so the CSR view kicks in
   Rng rng(7000 + GetParam());
   Rng rng_copy = rng;
-  const markov::TransitionMatrix sparse_chain = RingWalk(m, true, rng);
-  const markov::TransitionMatrix dense_chain = RingWalk(m, false, rng_copy);
+  const markov::TransitionMatrix sparse_chain =
+      testing::RingWalk(m, true, rng);
+  const markov::TransitionMatrix dense_chain =
+      testing::RingWalk(m, false, rng_copy);
   ASSERT_TRUE(sparse_chain.has_sparse());
   ASSERT_FALSE(dense_chain.has_sparse());
 
@@ -328,12 +316,11 @@ void PerWorldTwoWorldStep(const TwoWorldModel& model, const linalg::Vector& v,
 }
 
 // The automaton column step, one BackwardSpan per automaton state.
-// `base` is the model's (homogeneous) chain.
 void PerStateAutomatonStep(const AutomatonWorldModel& model,
-                           const markov::TransitionMatrix& base,
                            const linalg::Vector& v, int t,
                            linalg::Vector& out) {
   const size_t m = model.num_states();
+  const markov::TransitionMatrix& base = model.schedule().AtStep(t);
   const event::EventAutomaton& automaton = model.automaton();
   const int tau = t + 1;
   const bool in_window = tau >= automaton.start() && tau <= automaton.end();
@@ -390,30 +377,56 @@ TheoremVectors ReferenceVectors(const LiftedEventModel& model,
   return out;
 }
 
-void ExpectSameBits(const linalg::Vector& got, const linalg::Vector& want,
-                    const std::string& label) {
-  ASSERT_EQ(got.size(), want.size()) << label;
-  for (size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got[i], want[i]) << label << " entry " << i;
-  }
-}
-
-// Runs ComputeVectors and the reference over every prefix t = 1..end+3, so
+// Runs ComputeVectors and the reference over every prefix t = 1..end+6, so
 // the during-event regime, t = end and the after-event regime all appear.
 void ExpectChainMatchesReference(const LiftedEventModel& model,
                                  const ColumnStep& step, Rng& rng,
                                  const std::string& label) {
   const PrivacyQuantifier quantifier(&model);
   std::vector<linalg::Vector> emissions;
-  for (int t = 1; t <= model.event_end() + 3; ++t) {
+  for (int t = 1; t <= model.event_end() + 6; ++t) {
     emissions.push_back(testing::RandomEmissionColumn(model.num_states(), rng));
     const TheoremVectors got = quantifier.ComputeVectors(emissions);
     const TheoremVectors want = ReferenceVectors(model, step, emissions);
     const std::string where = label + " t=" + std::to_string(t);
-    ExpectSameBits(got.a_bar, want.a_bar, where + " a_bar");
-    ExpectSameBits(got.b_bar, want.b_bar, where + " b_bar");
-    ExpectSameBits(got.c_bar, want.c_bar, where + " c_bar");
+    testing::ExpectSameBits(got.a_bar, want.a_bar, where + " a_bar");
+    testing::ExpectSameBits(got.b_bar, want.b_bar, where + " b_bar");
+    testing::ExpectSameBits(got.c_bar, want.c_bar, where + " c_bar");
   }
+}
+
+// Checks a TwoWorld model per event shape and an automaton model over
+// `schedule` against their per-world reference chains.
+void ExpectModelsMatchReference(const markov::TransitionSchedule& schedule,
+                                Rng& rng, const std::string& label) {
+  const size_t m = schedule.num_states();
+  std::vector<geo::Region> regions;
+  for (int i = 0; i < 3; ++i) regions.push_back(testing::RandomRegion(m, rng));
+  const std::vector<std::pair<std::string, event::EventPtr>> events = {
+      {"presence", std::make_shared<PresenceEvent>(regions, 3)},
+      {"pattern", std::make_shared<PatternEvent>(regions, 2)},
+      {"presence@1", std::make_shared<PresenceEvent>(regions, 1)},
+      {"pattern@1", std::make_shared<PatternEvent>(regions, 1)},
+  };
+  for (const auto& [name, ev] : events) {
+    const TwoWorldModel model(schedule, ev);
+    ExpectChainMatchesReference(
+        model,
+        [&](const linalg::Vector& v, int t, linalg::Vector& out) {
+          PerWorldTwoWorldStep(model, v, t, out);
+        },
+        rng, name + " " + label);
+  }
+  const auto automaton = AutomatonWorldModel::Create(
+      schedule, *events[1].second->ToBooleanExpr());
+  ASSERT_TRUE(automaton.ok()) << automaton.status();
+  const AutomatonWorldModel& model = **automaton;
+  ExpectChainMatchesReference(
+      model,
+      [&](const linalg::Vector& v, int t, linalg::Vector& out) {
+        PerStateAutomatonStep(model, v, t, out);
+      },
+      rng, "automaton " + label);
 }
 
 TEST(QuantifierTest, ComputeVectorsEqualsPerWorldChainExactly) {
@@ -423,37 +436,18 @@ TEST(QuantifierTest, ComputeVectorsEqualsPerWorldChainExactly) {
   const size_t m = 18;
   for (const bool csr : {false, true}) {
     const markov::TransitionMatrix chain =
-        csr ? RingWalk(m, true, rng) : testing::RandomTransition(m, rng);
+        csr ? testing::RingWalk(m, true, rng)
+            : testing::RandomTransition(m, rng);
     ASSERT_EQ(chain.has_sparse(), csr);
-    std::vector<geo::Region> regions;
-    for (int i = 0; i < 3; ++i) regions.push_back(testing::RandomRegion(m, rng));
-    const std::vector<std::pair<std::string, event::EventPtr>> events = {
-        {"presence", std::make_shared<PresenceEvent>(regions, 3)},
-        {"pattern", std::make_shared<PatternEvent>(regions, 2)},
-        {"presence@1", std::make_shared<PresenceEvent>(regions, 1)},
-        {"pattern@1", std::make_shared<PatternEvent>(regions, 1)},
-    };
-    for (const auto& [name, ev] : events) {
-      const TwoWorldModel model(chain, ev);
-      ExpectChainMatchesReference(
-          model,
-          [&](const linalg::Vector& v, int t, linalg::Vector& out) {
-            PerWorldTwoWorldStep(model, v, t, out);
-          },
-          rng, name + (csr ? " csr" : " dense"));
-    }
-    const auto automaton = AutomatonWorldModel::Create(
-        markov::TransitionSchedule::Homogeneous(chain),
-        *events[1].second->ToBooleanExpr());
-    ASSERT_TRUE(automaton.ok()) << automaton.status();
-    const AutomatonWorldModel& model = **automaton;
-    ExpectChainMatchesReference(
-        model,
-        [&](const linalg::Vector& v, int t, linalg::Vector& out) {
-          PerStateAutomatonStep(model, chain, v, t, out);
-        },
-        rng, std::string("automaton") + (csr ? " csr" : " dense"));
+    ExpectModelsMatchReference(markov::TransitionSchedule::Homogeneous(chain),
+                               rng, csr ? "csr" : "dense");
   }
+  // Time-varying: a dense and a CSR matrix alternating, so the after-event
+  // backward chain reads a different matrix at each step.
+  auto schedule = markov::TransitionSchedule::Cyclic(
+      {testing::RandomTransition(m, rng), testing::RingWalk(m, true, rng)});
+  ASSERT_TRUE(schedule.ok()) << schedule.status();
+  ExpectModelsMatchReference(*schedule, rng, "cyclic");
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,14 +14,17 @@
 #include "priste/core/priste_geo_ind.h"
 #include "priste/core/two_world.h"
 #include "priste/event/boolean_expr.h"
+#include "priste/event/pattern.h"
 #include "priste/event/presence.h"
 #include "priste/geo/gaussian_grid_model.h"
+#include "priste/linalg/kernels.h"
 #include "priste/markov/markov_chain.h"
 #include "testing/test_util.h"
 
 namespace priste::core {
 namespace {
 
+using event::PatternEvent;
 using event::PresenceEvent;
 
 // True when the CI cold-path matrix runs this suite with the prefix cache
@@ -498,6 +502,175 @@ TEST(ReleaseStepDensePrefixTest, DenseToSparseTransitionKeepsColdAgreement) {
   }
   if (!CacheForcedOffByEnv()) {
     EXPECT_GT(context.diagnostics().dense_prefix_checks, 0);
+  }
+}
+
+// The prefix-row engine with a second, accepting-masked row family past
+// the event window: at t = end the family is rows∘mask, from then on both
+// families are stepped and extended at every commit, and b̄ comes from
+// ReplicateDot of the masked row while c̄ comes from the unmasked one. The
+// engine keeps one family and seeds b̄ with the accepting mask instead; the
+// two must agree bit for bit because every step past the window acts on
+// each event block alone.
+class MaskedFamilyReference {
+ public:
+  explicit MaskedFamilyReference(const LiftedEventModel& model)
+      : model_(model) {}
+
+  TheoremVectors Vectors(const linalg::Vector& column) const {
+    const size_t m = model_.num_states();
+    const size_t k = model_.lifted_size() / m;
+    const double s_c = 1.0 / column.MaxAbs();
+    TheoremVectors out;
+    out.t = t_ + 1;
+    out.a_bar = model_.PriorContraction();
+    out.b_bar = linalg::Vector(m);
+    out.c_bar = linalg::Vector(m);
+    if (t_ == 0) {
+      const linalg::Vector ones =
+          model_.ContractColumn(linalg::Vector::Ones(model_.lifted_size()));
+      for (size_t j = 0; j < m; ++j) {
+        const double v = s_c * column[j];
+        out.b_bar[j] = v * out.a_bar[j];
+        out.c_bar[j] = v * ones[j];
+      }
+      return out;
+    }
+    for (size_t i = 0; i < support_.size(); ++i) {
+      const linalg::Vector step = Step(rows_[i]);
+      double bsum;
+      double csum;
+      if (out.t <= model_.event_end()) {
+        linalg::kernels::ReplicateDotPair(step.data(), k, m, column.data(),
+                                          model_.SuffixTrue(out.t).data(),
+                                          &bsum, &csum);
+      } else {
+        bsum = linalg::kernels::ReplicateDot(Step(masked_[i]).data(), k, m,
+                                             column.data());
+        csum = linalg::kernels::ReplicateDot(step.data(), k, m, column.data());
+      }
+      const double w = scale_[i] * s_c;
+      out.b_bar[support_[i]] = w * bsum;
+      out.c_bar[support_[i]] = w * csum;
+    }
+    return out;
+  }
+
+  void Commit(const linalg::Vector& column) {
+    const size_t m = model_.num_states();
+    const double s_c = 1.0 / column.MaxAbs();
+    if (t_ == 0) {
+      for (size_t j = 0; j < m; ++j) {
+        if (column[j] == 0.0) continue;
+        support_.push_back(j);
+        scale_.push_back(s_c * column[j]);
+        rows_.push_back(model_.LiftInitial(linalg::Vector::Unit(m, j)));
+      }
+    } else {
+      for (std::vector<linalg::Vector>* family : {&rows_, &masked_}) {
+        for (linalg::Vector& row : *family) {
+          row = Step(row);
+          model_.ApplyEmissionInPlace(column, row);
+          if (s_c != 1.0) row.ScaleInPlace(s_c);
+        }
+      }
+    }
+    ++t_;
+    if (t_ == model_.event_end()) {
+      for (const linalg::Vector& row : rows_) {
+        masked_.push_back(row.Hadamard(model_.AcceptingMask()));
+      }
+    }
+  }
+
+ private:
+  linalg::Vector Step(const linalg::Vector& row) const {
+    linalg::Vector out(model_.lifted_size());
+    model_.StepRowSpanInto(row.data(), t_, out.data());
+    return out;
+  }
+
+  const LiftedEventModel& model_;
+  int t_ = 0;
+  std::vector<size_t> support_;
+  std::vector<double> scale_;
+  std::vector<linalg::Vector> rows_;
+  std::vector<linalg::Vector> masked_;
+};
+
+// Two candidates per timestamp, the second committed, over t = 1..end+6:
+// CandidateVectors must equal the masked-family reference bit for bit in
+// sparse-row mode (δ-location-set columns) and in the dense-prefix scheme
+// (dense columns). With the cache forced off the cold chain serves every
+// check, which agrees only to rounding.
+void ExpectOneFamilyMatchesMaskedFamily(const LiftedEventModel& model,
+                                        bool dense, uint64_t seed) {
+  Rng rng(seed);
+  const size_t m = model.num_states();
+  const QpSolver solver;
+  ReleaseStepOptions options;
+  if (dense) {
+    options.dense_prefix = ReleaseStepOptions::DensePrefix::kAlways;
+    options.max_cache_support = 4;  // every dense column overflows this
+  }
+  ReleaseStepContext context({&model}, &solver, true, options);
+  MaskedFamilyReference reference(model);
+  for (int t = 1; t <= model.event_end() + 6; ++t) {
+    for (int cand = 0; cand < 2; ++cand) {
+      const linalg::Vector column =
+          dense ? testing::RandomEmissionColumn(m, rng)
+                : testing::RandomDeltaLocEmissionColumn(m, 4, rng);
+      const TheoremVectors got = context.CandidateVectors(0, column);
+      const TheoremVectors want = reference.Vectors(column);
+      if (CacheForcedOffByEnv()) {
+        ExpectVectorsNear(got, want, 1e-9);
+      } else {
+        const std::string where =
+            (dense ? "dense t=" : "sparse t=") + std::to_string(t);
+        ASSERT_EQ(got.t, want.t);
+        testing::ExpectSameBits(got.a_bar, want.a_bar, where + " a_bar");
+        testing::ExpectSameBits(got.b_bar, want.b_bar, where + " b_bar");
+        testing::ExpectSameBits(got.c_bar, want.c_bar, where + " c_bar");
+      }
+      if (cand == 1) {
+        context.Commit(column);
+        reference.Commit(column);
+      }
+    }
+  }
+  const ReleaseStepDiagnostics& d = context.diagnostics();
+  if (!CacheForcedOffByEnv()) {
+    EXPECT_EQ(d.cold_checks, 0);
+    EXPECT_GT(dense ? d.dense_prefix_checks : d.cached_checks, 0);
+  }
+}
+
+TEST(ReleaseStepContextTest, OneRowFamilyEqualsMaskedFamilyExactly) {
+  Rng rng(919);
+  const size_t m = 18;  // a row tail and a lane tail in every kernel
+  const markov::TransitionMatrix chain = testing::RandomTransition(m, rng);
+  std::vector<geo::Region> regions;
+  for (int i = 0; i < 3; ++i) regions.push_back(testing::RandomRegion(m, rng));
+  const TwoWorldModel presence(chain,
+                               std::make_shared<PresenceEvent>(regions, 2));
+  const TwoWorldModel pattern(chain,
+                              std::make_shared<PatternEvent>(regions, 2));
+  const auto expr = event::BoolExpr::Or(
+      event::BoolExpr::Pred(2, 3),
+      event::BoolExpr::And(event::BoolExpr::Pred(3, 4),
+                           event::BoolExpr::Pred(4, 11)));
+  auto automaton = AutomatonWorldModel::Create(
+      markov::TransitionSchedule::Homogeneous(chain), *expr);
+  ASSERT_TRUE(automaton.ok()) << automaton.status();
+  const std::vector<std::pair<std::string, const LiftedEventModel*>> models = {
+      {"presence", &presence},
+      {"pattern", &pattern},
+      {"automaton", automaton->get()}};
+  for (const auto& [name, model] : models) {
+    for (const bool dense : {false, true}) {
+      SCOPED_TRACE(name);
+      ExpectOneFamilyMatchesMaskedFamily(*model, dense, 4040);
+    }
   }
 }
 

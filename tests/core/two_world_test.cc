@@ -4,6 +4,7 @@
 
 #include "priste/event/pattern.h"
 #include "priste/event/presence.h"
+#include "testing/lifted_invariants.h"
 #include "testing/test_util.h"
 
 namespace priste::core {
@@ -174,6 +175,27 @@ TEST(TwoWorldTest, DistinctModelsDoNotShareCacheEntries) {
   EXPECT_NE(a.TransitionAt(2).get(), b.TransitionAt(2).get());
   EXPECT_EQ(a.TransitionAt(2)->ToDense().MaxAbsDiff(b.TransitionAt(2)->ToDense()),
             0.0);
+}
+
+TEST(TwoWorldTest, StepsPastTheWindowActBlockwiseOnTheBaseChain) {
+  // The LiftedEventModel invariant the after-window backward chain and the
+  // release engine's single row family rely on: from t = end on, both worlds
+  // step through the base matrix independently.
+  Rng rng(31);
+  const size_t m = 18;
+  for (const auto& [name, schedule] : testing::InvariantSchedules(m, rng)) {
+    std::vector<geo::Region> regions;
+    for (int i = 0; i < 3; ++i) {
+      regions.push_back(testing::RandomRegion(m, rng));
+    }
+    for (const event::EventPtr& ev : std::vector<event::EventPtr>{
+             std::make_shared<PresenceEvent>(regions, 2),
+             std::make_shared<PatternEvent>(regions, 2),
+             std::make_shared<PresenceEvent>(regions, 1)}) {
+      SCOPED_TRACE(name + " " + ev->ToString());
+      testing::ExpectBlockDiagonalPastWindow(TwoWorldModel(schedule, ev), rng);
+    }
+  }
 }
 
 TEST(TwoWorldTest, RejectsMismatchedStateCounts) {

@@ -1,7 +1,10 @@
 #ifndef PRISTE_TESTS_TESTING_TEST_UTIL_H_
 #define PRISTE_TESTS_TESTING_TEST_UTIL_H_
 
+#include <string>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "priste/common/check.h"
 #include "priste/common/random.h"
@@ -24,6 +27,25 @@ inline markov::TransitionMatrix RandomTransition(size_t m, Rng& rng) {
     for (size_t c = 0; c < m; ++c) t(r, c) /= sum;
   }
   auto result = markov::TransitionMatrix::Create(std::move(t));
+  PRISTE_CHECK(result.ok());
+  return std::move(result).value();
+}
+
+/// A random lazy walk on a ring: each state stays or steps to one of its two
+/// neighbours. Three nonzeros per row, so with m >= kSparseMinStates and
+/// `allow_sparse` the matrix carries a CSR view.
+inline markov::TransitionMatrix RingWalk(size_t m, bool allow_sparse,
+                                         Rng& rng) {
+  linalg::Matrix t(m, m);
+  for (size_t s = 0; s < m; ++s) {
+    const double stay = 0.2 + 0.6 * rng.NextDouble();
+    const double left = (1.0 - stay) * rng.NextDouble();
+    t(s, s) = stay;
+    t(s, (s + m - 1) % m) = left;
+    t(s, (s + 1) % m) = 1.0 - stay - left;
+  }
+  auto result =
+      markov::TransitionMatrix::Create(std::move(t), 1e-6, allow_sparse);
   PRISTE_CHECK(result.ok());
   return std::move(result).value();
 }
@@ -75,6 +97,17 @@ inline linalg::Vector RandomDeltaLocEmissionColumn(size_t m, size_t support,
     }
   }
   return e;
+}
+
+/// Exact equality of two vectors, entry by entry (bit for bit, not to a
+/// tolerance); `label` names the failing comparison.
+inline void ExpectSameBits(const linalg::Vector& got,
+                           const linalg::Vector& want,
+                           const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << label << " entry " << i;
+  }
 }
 
 }  // namespace priste::testing
